@@ -9,7 +9,6 @@ same frame sent block-sequential, and a conventional multi-prefix OFDM
 frame with configurable numerology.
 """
 
-from ._kernels import USING_NUMBA
 from .channel import (
     ChannelRealization,
     PathTap,
@@ -38,22 +37,11 @@ from .harness import (
 )
 from .mapping import Constellation, by_name, qam16, qam64, qpsk
 from .metrics import BlerPoint, PaprAccumulator, cp_snr_loss_db, papr_db, wilson_interval
-from .transforms import (
-    GridTransform,
-    add_cp,
-    block_ofdm_demodulate,
-    block_ofdm_modulate,
-    deinterleave,
-    interleave,
-    otfs_demodulate,
-    otfs_modulate,
-    remove_cp,
-)
+from .transforms import GridTransform, add_cp, deinterleave, interleave, remove_cp
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "ChannelRealization",
     "PathTap",
     "TdlProfile",
@@ -92,12 +80,8 @@ __all__ = [
     "wilson_interval",
     "GridTransform",
     "add_cp",
-    "block_ofdm_demodulate",
-    "block_ofdm_modulate",
     "deinterleave",
     "interleave",
-    "otfs_demodulate",
-    "otfs_modulate",
     "remove_cp",
     "__version__",
 ]

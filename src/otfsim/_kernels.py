@@ -1,40 +1,26 @@
-"""Hot numeric kernels: numba-compiled loops with pure-numpy fallbacks.
+"""Hot numeric kernels: the channel operators and the min-sum decoder.
 
-Each kernel exists twice: an ``@njit`` loop implementation and a
-vectorized numpy one.  The numba path is used when the package can
-import numba and the environment variable ``OTFSIM_NO_NUMBA`` is unset
-(or empty); setting ``OTFSIM_NO_NUMBA=1`` forces the numpy path.  The
-decoder paths are bit-identical; the channel kernels agree to a few
-ulps (the two runtimes' complex exponentials differ in the last bit).
-``benchmarks/bench_kernels.py`` compares their speed.
+Each operation has one vectorized numpy implementation.  The tests
+check the channel kernels against the dense channel matrix and scalar
+loops, and the decoder against a scalar loop over the parity checks.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by either branch
-    import numba
-except ImportError:  # pragma: no cover
-    numba = None
-
-USING_NUMBA = numba is not None and not os.environ.get("OTFSIM_NO_NUMBA")
+# No compiled kernels; perfbench/run.py still reads and reports this flag.
+USING_NUMBA = False
 
 
-def _njit(func):
-    if USING_NUMBA:
-        return numba.njit(cache=True)(func)
-    return func
+def ltv_stream(samples, gains, delay_bins, phase_rates, t0):
+    """Apply the time-varying multipath response along a sample stream.
 
-
-# ---------------------------------------------------------------------------
-# Linear time-varying channel application
-# ---------------------------------------------------------------------------
-
-
-def _ltv_stream_np(samples, gains, delay_bins, phase_rates, t0):
+    ``out[v] = sum_p gains[p] * exp(j*w_p*(v + t0 - l_p)) * samples[v - l_p]``
+    with samples before the stream start treated as zero.  ``t0`` places
+    the stream on the channel's absolute time axis.
+    """
+    samples = np.ascontiguousarray(samples, dtype=np.complex128)
     out = np.zeros_like(samples)
     n = samples.size
     idx = np.arange(n)
@@ -45,19 +31,9 @@ def _ltv_stream_np(samples, gains, delay_bins, phase_rates, t0):
     return out
 
 
-def _ltv_stream_loop(samples, gains, delay_bins, phase_rates, t0):
-    out = np.zeros_like(samples)
-    n = samples.size
-    for p in range(gains.size):
-        g = gains[p]
-        l = delay_bins[p]
-        w = phase_rates[p]
-        for v in range(l, n):
-            out[v] += g * np.exp(1j * w * (v + t0 - l)) * samples[v - l]
-    return out
-
-
-def _tap_apply_np(v, gains, delay_bins, phase_rates):
+def tap_apply(v, gains, delay_bins, phase_rates):
+    """Cyclic delay-Doppler channel times a vector (body-length operator)."""
+    v = np.ascontiguousarray(v, dtype=np.complex128)
     out = np.zeros_like(v)
     idx = np.arange(v.size)
     for g, l, w in zip(gains, delay_bins, phase_rates):
@@ -65,19 +41,9 @@ def _tap_apply_np(v, gains, delay_bins, phase_rates):
     return out
 
 
-def _tap_apply_loop(v, gains, delay_bins, phase_rates):
-    n = v.size
-    out = np.zeros_like(v)
-    for p in range(gains.size):
-        g = gains[p]
-        l = delay_bins[p]
-        w = phase_rates[p]
-        for u in range(n):
-            out[u] += g * np.exp(1j * w * (u - l)) * v[(u - l) % n]
-    return out
-
-
-def _tap_apply_adjoint_np(v, gains, delay_bins, phase_rates):
+def tap_apply_adjoint(v, gains, delay_bins, phase_rates):
+    """Adjoint of :func:`tap_apply`."""
+    v = np.ascontiguousarray(v, dtype=np.complex128)
     out = np.zeros_like(v)
     idx = np.arange(v.size)
     for g, l, w in zip(gains, delay_bins, phase_rates):
@@ -85,102 +51,25 @@ def _tap_apply_adjoint_np(v, gains, delay_bins, phase_rates):
     return out
 
 
-def _tap_apply_adjoint_loop(v, gains, delay_bins, phase_rates):
-    n = v.size
-    out = np.zeros_like(v)
-    for p in range(gains.size):
-        g = np.conj(gains[p])
-        l = delay_bins[p]
-        w = phase_rates[p]
-        for u in range(n):
-            out[u] += g * np.exp(-1j * w * u) * v[(u + l) % n]
-    return out
+def min_sum_decode(llr, graph, alpha, max_iters):
+    """Normalized min-sum decoding of one codeword, flooding schedule.
 
-
-# ---------------------------------------------------------------------------
-# Normalized min-sum decoding
-# ---------------------------------------------------------------------------
-
-
-def _min_sum_loop(llr, check_ptr, edge_var, alpha, max_iters):
-    n_checks = check_ptr.size - 1
-    n_vars = llr.size
-    n_edges = edge_var.size
-    c2v = np.zeros(n_edges)
-    total = llr.copy()
-    hard = np.empty(n_vars, dtype=np.uint8)
-    for i in range(n_vars):
-        hard[i] = 1 if total[i] <= 0.0 else 0
-
-    ok = True
-    for c in range(n_checks):
-        parity = 0
-        for e in range(check_ptr[c], check_ptr[c + 1]):
-            parity ^= hard[edge_var[e]]
-        if parity:
-            ok = False
-            break
-    if ok:
-        return hard, True, 0
-
-    c2v_new = np.zeros(n_edges)
-    iters_done = 0
-    for it in range(max_iters):
-        iters_done = it + 1
-        # Flooding schedule: all messages read one snapshot of the totals.
-        for c in range(n_checks):
-            lo = check_ptr[c]
-            hi = check_ptr[c + 1]
-            sign_prod = 1.0
-            min1 = np.inf
-            min2 = np.inf
-            min_e = lo
-            for e in range(lo, hi):
-                v = total[edge_var[e]] - c2v[e]
-                s = -1.0 if v < 0.0 else 1.0
-                sign_prod *= s
-                a = abs(v)
-                if a < min1:
-                    min2 = min1
-                    min1 = a
-                    min_e = e
-                elif a < min2:
-                    min2 = a
-            for e in range(lo, hi):
-                v = total[edge_var[e]] - c2v[e]
-                s = -1.0 if v < 0.0 else 1.0
-                mag = min2 if e == min_e else min1
-                c2v_new[e] = alpha * sign_prod * s * mag
-        for e in range(n_edges):
-            c2v[e] = c2v_new[e]
-        for i in range(n_vars):
-            total[i] = llr[i]
-        for e in range(n_edges):
-            total[edge_var[e]] += c2v[e]
-        for i in range(n_vars):
-            hard[i] = 1 if total[i] <= 0.0 else 0
-        ok = True
-        for c in range(n_checks):
-            parity = 0
-            for e in range(check_ptr[c], check_ptr[c + 1]):
-                parity ^= hard[edge_var[e]]
-            if parity:
-                ok = False
-                break
-        if ok:
-            return hard, True, iters_done
-    return hard, False, iters_done
-
-
-def _min_sum_np(llr, chk_vars, chk_mask, alpha, max_iters):
+    ``graph`` is the padded parity-check adjacency prepared by the FEC
+    module (``chk_vars``/``chk_mask``).  Positive LLRs favour bit 0;
+    ties count as bit 1 so an all-zero input cannot masquerade as a
+    valid codeword.  Returns ``(hard_bits, ok, iterations)``.
+    """
+    llr = np.ascontiguousarray(llr, dtype=np.float64)
+    alpha = float(alpha)
+    max_iters = int(max_iters)
+    chk_vars, chk_mask = graph.chk_vars, graph.chk_mask
     n_vars = llr.size
     c2v = np.zeros(chk_vars.shape)
     total = llr.copy()
 
     def hard_and_ok(total):
         hard = (total <= 0.0).astype(np.uint8)
-        par = np.bitwise_xor.reduce(np.where(chk_mask, hard[chk_vars], 0), axis=1)
-        return hard, not par.any()
+        return hard, graph.syndrome_ok(hard)
 
     hard, ok = hard_and_ok(total)
     if ok:
@@ -211,78 +100,3 @@ def _min_sum_np(llr, chk_vars, chk_mask, alpha, max_iters):
         if ok:
             return hard, True, it + 1
     return hard, False, max_iters
-
-
-if USING_NUMBA:
-    _ltv_stream_impl = _njit(_ltv_stream_loop)
-    _tap_apply_impl = _njit(_tap_apply_loop)
-    _tap_apply_adjoint_impl = _njit(_tap_apply_adjoint_loop)
-    _min_sum_impl = _njit(_min_sum_loop)
-else:
-    _ltv_stream_impl = None
-    _tap_apply_impl = None
-    _tap_apply_adjoint_impl = None
-    _min_sum_impl = None
-
-
-def ltv_stream(samples, gains, delay_bins, phase_rates, t0, use_numba=None):
-    """Apply the time-varying multipath response along a sample stream.
-
-    ``out[v] = sum_p gains[p] * exp(j*w_p*(v + t0 - l_p)) * samples[v - l_p]``
-    with samples before the stream start treated as zero.  ``t0`` places
-    the stream on the channel's absolute time axis.
-    """
-    samples = np.ascontiguousarray(samples, dtype=np.complex128)
-    gains = np.ascontiguousarray(gains, dtype=np.complex128)
-    delay_bins = np.ascontiguousarray(delay_bins, dtype=np.int64)
-    phase_rates = np.ascontiguousarray(phase_rates, dtype=np.float64)
-    if use_numba is None:
-        use_numba = USING_NUMBA
-    if use_numba and _ltv_stream_impl is not None:
-        return _ltv_stream_impl(samples, gains, delay_bins, phase_rates, float(t0))
-    return _ltv_stream_np(samples, gains, delay_bins, phase_rates, float(t0))
-
-
-def tap_apply(v, gains, delay_bins, phase_rates, use_numba=None):
-    """Cyclic delay-Doppler channel times a vector (body-length operator)."""
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    gains = np.ascontiguousarray(gains, dtype=np.complex128)
-    delay_bins = np.ascontiguousarray(delay_bins, dtype=np.int64)
-    phase_rates = np.ascontiguousarray(phase_rates, dtype=np.float64)
-    if use_numba is None:
-        use_numba = USING_NUMBA
-    if use_numba and _tap_apply_impl is not None:
-        return _tap_apply_impl(v, gains, delay_bins, phase_rates)
-    return _tap_apply_np(v, gains, delay_bins, phase_rates)
-
-
-def tap_apply_adjoint(v, gains, delay_bins, phase_rates, use_numba=None):
-    """Adjoint of :func:`tap_apply`."""
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    gains = np.ascontiguousarray(gains, dtype=np.complex128)
-    delay_bins = np.ascontiguousarray(delay_bins, dtype=np.int64)
-    phase_rates = np.ascontiguousarray(phase_rates, dtype=np.float64)
-    if use_numba is None:
-        use_numba = USING_NUMBA
-    if use_numba and _tap_apply_adjoint_impl is not None:
-        return _tap_apply_adjoint_impl(v, gains, delay_bins, phase_rates)
-    return _tap_apply_adjoint_np(v, gains, delay_bins, phase_rates)
-
-
-def min_sum_decode(llr, graph, alpha, max_iters, use_numba=None):
-    """Normalized min-sum decoding of one codeword.
-
-    ``graph`` is the parity-check adjacency prepared by the FEC module
-    (both CSR arrays for the loop kernel and padded arrays for the numpy
-    kernel).  Positive LLRs favour bit 0; ties count as bit 1 so an
-    all-zero input cannot masquerade as a valid codeword.  Returns
-    ``(hard_bits, ok, iterations)``.
-    """
-    llr = np.ascontiguousarray(llr, dtype=np.float64)
-    if use_numba is None:
-        use_numba = USING_NUMBA
-    if use_numba and _min_sum_impl is not None:
-        return _min_sum_impl(
-            llr, graph.check_ptr, graph.edge_var, float(alpha), int(max_iters)
-        )
-    return _min_sum_np(llr, graph.chk_vars, graph.chk_mask, float(alpha), int(max_iters))

@@ -245,47 +245,31 @@ def gram_matrix(ch: ChannelRealization) -> np.ndarray:
     return k
 
 
-def noise_variance(samples: np.ndarray, snr_db: float) -> float:
-    """Per-sample noise variance for the given SNR on these samples."""
-    power = float(np.mean(np.abs(samples) ** 2))
-    if power == 0.0:
-        raise ValueError("cannot set an SNR on an all-zero signal")
-    return power / 10.0 ** (snr_db / 10.0)
-
-
 def apply_channel(
     samples: np.ndarray,
     ch: ChannelRealization,
-    snr_db: float | None,
     rng: np.random.Generator | None = None,
     *,
     cp_samples: int = 0,
-    noise_var: float | None = None,
-    time_offset: float | None = None,
+    noise_var: float = 0.0,
 ) -> np.ndarray:
     """Send a sample stream through the channel and add receiver noise.
 
     The multipath response is applied as a causal linear time-varying
-    convolution over the whole stream (prefix included).  ``time_offset``
-    places the first sample on the channel's time axis; it defaults to
-    ``-cp_samples`` so the frame body starts at time zero, which makes
-    the post-prefix-removal result equal ``H @ body`` exactly.
+    convolution over the whole stream (prefix included).  The first
+    sample sits at time ``-cp_samples`` on the channel's time axis, so
+    the frame body starts at time zero, which makes the
+    post-prefix-removal result equal ``H @ body`` exactly.
 
-    Noise is circular complex Gaussian.  Its per-sample variance is
-    ``noise_var`` when given, otherwise derived from ``snr_db`` measured
-    on the prefix-stripped body; ``snr_db=None`` with no ``noise_var``
-    means noiseless.
+    Noise is circular complex Gaussian with per-sample variance
+    ``noise_var``; zero means noiseless.
     """
     samples = np.asarray(samples, dtype=complex).ravel()
     if cp_samples < 0 or cp_samples >= samples.size:
         raise ValueError("prefix length outside the stream")
-    if time_offset is None:
-        time_offset = -float(cp_samples)
     out = _kernels.ltv_stream(
-        samples, ch.gains, ch.delay_bins, ch.phase_rates, float(time_offset)
+        samples, ch.gains, ch.delay_bins, ch.phase_rates, -float(cp_samples)
     )
-    if noise_var is None and snr_db is not None:
-        noise_var = noise_variance(samples[cp_samples:], snr_db)
     if noise_var:
         if rng is None:
             raise ValueError("noise requested but no generator supplied")

@@ -20,27 +20,22 @@ import numpy as np
 
 from . import _kernels
 
-# Pins known filler bits to 0 without risking overflow inside the decoder.
-FILLER_LLR = 1e12
-
 
 @dataclass(frozen=True)
 class LdpcGraph:
-    """Parity-check adjacency in the two layouts the kernels consume."""
+    """Parity-check adjacency, one padded row of variables per check."""
 
-    check_ptr: np.ndarray  # CSR row pointer, len n_checks + 1
-    edge_var: np.ndarray  # variable index per edge, check-major
     chk_vars: np.ndarray  # (n_checks, max_degree) padded variable indices
     chk_mask: np.ndarray  # validity of each padded slot
 
     @property
     def n_checks(self) -> int:
-        return self.check_ptr.size - 1
+        return self.chk_vars.shape[0]
 
     def syndrome_ok(self, bits: np.ndarray) -> bool:
         """True when every check XORs to zero over the given hard bits."""
-        edge_bits = np.asarray(bits, dtype=np.uint8)[self.edge_var]
-        per_check = np.bitwise_xor.reduceat(edge_bits, self.check_ptr[:-1])
+        edge_bits = np.asarray(bits, dtype=np.uint8)[self.chk_vars]
+        per_check = np.bitwise_xor.reduce(np.where(self.chk_mask, edge_bits, 0), axis=1)
         return not per_check.any()
 
 
@@ -103,26 +98,19 @@ class LdpcCode:
         hb, z = self.base_matrix, self.lifting
         rows = hb.shape[0]
         offsets = np.arange(z)
-        check_lists = []
+        max_deg = int((hb >= 0).sum(axis=1).max())
+        chk_vars = np.zeros((rows * z, max_deg), dtype=np.int64)
+        chk_mask = np.zeros((rows * z, max_deg), dtype=bool)
         for i in range(rows):
             cols = np.flatnonzero(hb[i] >= 0)
             shifts = hb[i, cols]
             # lifted check i*z + e touches variable j*z + (e + shift) % z
-            vars_block = cols[None, :] * z + (offsets[:, None] + shifts[None, :]) % z
-            check_lists.append(vars_block)
-        degrees = np.repeat([b.shape[1] for b in check_lists], z)
-        check_ptr = np.zeros(degrees.size + 1, dtype=np.int64)
-        np.cumsum(degrees, out=check_ptr[1:])
-        edge_var = np.concatenate([b.ravel() for b in check_lists]).astype(np.int64)
-        max_deg = int(degrees.max())
-        n_checks = rows * z
-        chk_vars = np.zeros((n_checks, max_deg), dtype=np.int64)
-        chk_mask = np.zeros((n_checks, max_deg), dtype=bool)
-        for r in range(n_checks):
-            deg = check_ptr[r + 1] - check_ptr[r]
-            chk_vars[r, :deg] = edge_var[check_ptr[r] : check_ptr[r + 1]]
-            chk_mask[r, :deg] = True
-        return LdpcGraph(check_ptr, edge_var, chk_vars, chk_mask)
+            block = slice(i * z, (i + 1) * z)
+            chk_vars[block, : cols.size] = (
+                cols[None, :] * z + (offsets[:, None] + shifts[None, :]) % z
+            )
+            chk_mask[block, : cols.size] = True
+        return LdpcGraph(chk_vars, chk_mask)
 
     def encode(self, msg_bits: np.ndarray) -> np.ndarray:
         """Systematic codewords, one row per message_len chunk.
@@ -160,7 +148,6 @@ class LdpcCode:
         llrs: np.ndarray,
         scale: float = 0.75,
         max_iters: int = 50,
-        use_numba: bool | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Normalized min-sum decode of codeword-per-column LLRs.
 
@@ -175,9 +162,7 @@ class LdpcCode:
         bits = np.empty_like(cols, dtype=np.uint8)
         ok = np.empty(cols.shape[1], dtype=bool)
         for w in range(cols.shape[1]):
-            hard, good, _ = _kernels.min_sum_decode(
-                cols[:, w], self.graph, scale, max_iters, use_numba=use_numba
-            )
+            hard, good, _ = _kernels.min_sum_decode(cols[:, w], self.graph, scale, max_iters)
             bits[:, w] = hard
             ok[w] = good
         return (bits[:, 0], ok[0]) if single else (bits, ok)
@@ -191,19 +176,6 @@ def reshape_llrs(flat: np.ndarray, codeword_len: int) -> np.ndarray:
             f"stream length {flat.size} is not a multiple of {codeword_len}"
         )
     return flat.reshape(codeword_len, -1, order="F")
-
-
-def pad_llrs(flat: np.ndarray, codeword_len: int) -> np.ndarray:
-    """Right-pad a stream to a whole number of codewords.
-
-    Padding positions carry ``FILLER_LLR``, pinning the corresponding
-    bits to 0 as the encoder's zero fill demands.
-    """
-    flat = np.asarray(flat, dtype=float).ravel()
-    short = -flat.size % codeword_len
-    if short:
-        flat = np.concatenate([flat, np.full(short, FILLER_LLR)])
-    return flat
 
 
 def load_code(source: str = "ldpc_n1944_r23") -> LdpcCode:

@@ -371,9 +371,7 @@ class LinkSimulator:
 
         if wf.kind == "vsb_ofdm":
             geom = self.vsb[wf.mu]
-            r = apply_channel(
-                tx, ch, None, noise_rng, cp_samples=geom.cp_len, noise_var=noise_var
-            )
+            r = apply_channel(tx, ch, noise_rng, cp_samples=geom.cp_len, noise_var=noise_var)
             y = vsb_demodulate(r / scale, self.params, wf.mu)
             rs_grid = place_ofdm_frame(
                 np.zeros(geom.data_idx.size), rs, self.params, wf.mu
@@ -382,7 +380,7 @@ class LinkSimulator:
             eq = single_tap_equalize(y, h_est, nv_eff).select(geom.data_idx)
         else:
             cp = self.params.cp_samples
-            r = apply_channel(tx, ch, None, noise_rng, cp_samples=cp, noise_var=noise_var)
+            r = apply_channel(tx, ch, noise_rng, cp_samples=cp, noise_var=noise_var)
             r_body = remove_cp(r, cp) / scale
             transform = self.transforms[wf.kind]
             if wf.kind == "otfs":
@@ -399,7 +397,6 @@ class LinkSimulator:
                 p_rx = apply_channel(
                     add_cp(p_body, cp),
                     ch,
-                    None,
                     probe_rng,
                     cp_samples=cp,
                     noise_var=noise_var,
@@ -511,7 +508,10 @@ def write_bler_csv(path, results: dict[str, SweepResult]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
-            ["waveform", "mu", "snr_db", "trials", "block_errors", "bler", "ci_lo", "ci_hi"]
+            [
+                "waveform", "mu", "snr_db", "trials", "blocks",
+                "block_errors", "bler", "ci_lo", "ci_hi",
+            ]
         )
         for result in results.values():
             for p in result.points:
@@ -521,6 +521,7 @@ def write_bler_csv(path, results: dict[str, SweepResult]) -> None:
                         result.spec.kind,
                         result.spec.mu,
                         f"{p.snr_db:g}",
+                        p.trials,
                         p.blocks,
                         p.block_errors,
                         f"{p.bler:.6g}",

@@ -1,9 +1,10 @@
 """Delay-Doppler and block-OFDM modulation transforms.
 
-The delay-Doppler modulator is implemented in its factored form: placing
-symbols on the M-by-N delay-Doppler grid, applying the inverse symplectic
-finite Fourier transform and then per-symbol IFFTs collapses to a single
-IDFT across the Doppler axis followed by column-major vectorization,
+The delay-Doppler modulator (:class:`GridTransform`) is implemented in
+its factored form: placing symbols on the M-by-N delay-Doppler grid,
+applying the inverse symplectic finite Fourier transform and then
+per-symbol IFFTs collapses to a single IDFT across the Doppler axis
+followed by column-major vectorization,
 
     s = vec(X @ W_N),        W_N = unitary N-point IDFT matrix.
 
@@ -25,67 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def isfft(x: np.ndarray) -> np.ndarray:
-    """Inverse symplectic finite Fourier transform of an M-by-N grid.
-
-    ``Z[m, n] = (NM)**-0.5 sum_{k,l} x[l, k] exp(j2pi(nk/N - ml/M))``,
-    i.e. a unitary DFT along delay and unitary IDFT along Doppler.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D delay-Doppler grid")
-    return np.fft.fft(np.fft.ifft(x, axis=1, norm="ortho"), axis=0, norm="ortho")
-
-
-def sfft(z: np.ndarray) -> np.ndarray:
-    """Symplectic finite Fourier transform, inverse of :func:`isfft`."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 2:
-        raise ValueError("expected a 2-D time-frequency grid")
-    return np.fft.fft(np.fft.ifft(z, axis=0, norm="ortho"), axis=1, norm="ortho")
-
-
-def otfs_modulate(x: np.ndarray) -> np.ndarray:
-    """Map an M-by-N delay-Doppler grid to M*N time samples (no prefix)."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D delay-Doppler grid")
-    return np.fft.ifft(x, axis=1, norm="ortho").ravel(order="F")
-
-
-def otfs_demodulate(r: np.ndarray, num_delay_bins: int) -> np.ndarray:
-    """Map M*N received samples back to the M-by-N delay-Doppler grid.
-
-    Inverse of :func:`otfs_modulate`; with no channel the grid is
-    recovered exactly, and the receive grid shares the transmit layout
-    (``Y[l, k]`` at column-major position ``k * M + l``).
-    """
-    r = np.asarray(r, dtype=complex).ravel()
-    m = num_delay_bins
-    if r.size % m:
-        raise ValueError(f"sample count {r.size} is not a multiple of M={m}")
-    grid = r.reshape(m, r.size // m, order="F")
-    return np.fft.fft(grid, axis=1, norm="ortho")
-
-
-def block_ofdm_modulate(x: np.ndarray) -> np.ndarray:
-    """Map the grid to block-OFDM samples: N-subcarrier symbols, M of them."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D delay-Doppler grid")
-    return np.fft.ifft(x.T, axis=0, norm="ortho").ravel(order="F")
-
-
-def block_ofdm_demodulate(r: np.ndarray, num_doppler_bins: int) -> np.ndarray:
-    """Inverse of :func:`block_ofdm_modulate`, returning the M-by-N grid."""
-    r = np.asarray(r, dtype=complex).ravel()
-    n = num_doppler_bins
-    if r.size % n:
-        raise ValueError(f"sample count {r.size} is not a multiple of N={n}")
-    grid = r.reshape(n, r.size // n, order="F")
-    return np.fft.fft(grid, axis=0, norm="ortho").T
 
 
 def interleave(s_block: np.ndarray, num_delay_bins: int, num_doppler_bins: int) -> np.ndarray:

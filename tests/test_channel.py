@@ -14,7 +14,6 @@ from otfsim.channel import (
     gram_matrix,
     identity_channel,
     load_profile,
-    noise_variance,
     sample_channel,
     tf_response,
 )
@@ -149,7 +148,7 @@ def test_stream_application_reduces_to_cyclic_matrix():
     rng = np.random.default_rng(17)
     body = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     tx = add_cp(body, 5)
-    r = apply_channel(tx, ch, None, cp_samples=5)
+    r = apply_channel(tx, ch, cp_samples=5)
     np.testing.assert_allclose(
         remove_cp(r, 5), build_channel_matrix(ch) @ body, atol=1e-12
     )
@@ -160,7 +159,7 @@ def test_short_prefix_breaks_the_identity():
     rng = np.random.default_rng(18)
     body = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     tx = add_cp(body, 2)
-    r = apply_channel(tx, ch, None, cp_samples=2)
+    r = apply_channel(tx, ch, cp_samples=2)
     err = np.abs(remove_cp(r, 2) - build_channel_matrix(ch) @ body)
     assert err.max() > 1e-3
 
@@ -169,22 +168,18 @@ def test_identity_channel_is_transparent():
     ch = identity_channel(DESK)
     rng = np.random.default_rng(19)
     s = rng.standard_normal(ch.block_len) + 1j * rng.standard_normal(ch.block_len)
-    np.testing.assert_allclose(apply_channel(s, ch, None), s, atol=1e-15)
+    np.testing.assert_allclose(apply_channel(s, ch), s, atol=1e-15)
 
 
 def test_noise_variance_calibration():
     rng = np.random.default_rng(20)
     s = np.ones(200_000, dtype=complex)
-    nv = noise_variance(s, 10.0)
-    assert nv == pytest.approx(0.1)
     ch = ChannelRealization((PathTap(1.0 + 0.0j, 0, 0),), 500, 400)
-    r = apply_channel(s, ch, 10.0, rng)
+    r = apply_channel(s, ch, rng, noise_var=0.1)
     measured = np.mean(np.abs(r - s) ** 2)
     assert measured == pytest.approx(0.1, rel=0.02)
     with pytest.raises(ValueError):
-        noise_variance(np.zeros(4), 10.0)
-    with pytest.raises(ValueError):
-        apply_channel(s, identity_channel(DESK), 10.0, rng=None)
+        apply_channel(s, identity_channel(DESK), rng=None, noise_var=0.1)
 
 
 def test_tf_response_static_oracle():
@@ -195,7 +190,7 @@ def test_tf_response_static_oracle():
     ch = ChannelRealization(taps, 64, 16)
     rng = np.random.default_rng(21)
     grid = rng.standard_normal((64, 16)) + 1j * rng.standard_normal((64, 16))
-    r = apply_channel(vsb_modulate(grid, DESK, 0), ch, None, cp_samples=0)
+    r = apply_channel(vsb_modulate(grid, DESK, 0), ch, cp_samples=0)
     y = vsb_demodulate(r, DESK, 0)
     np.testing.assert_allclose(y / grid, tf_response(ch, DESK, 0), atol=1e-10)
 

@@ -41,14 +41,7 @@ def received_grid(cfg, ch, data=None, rng=None, noise_var=0.0):
     grid = place_otfs_frame(data, cfg, DESK).values
     t = GridTransform(M, N, "otfs")
     tx = add_cp(t.apply(grid.ravel(order="F")), DESK.cp_samples)
-    r = apply_channel(
-        tx,
-        ch,
-        None,
-        rng,
-        cp_samples=DESK.cp_samples,
-        noise_var=noise_var or None,
-    )
+    r = apply_channel(tx, ch, rng, cp_samples=DESK.cp_samples, noise_var=noise_var)
     body = remove_cp(r, DESK.cp_samples)
     return t.adjoint(body).reshape(M, N, order="F")
 
@@ -178,7 +171,7 @@ def test_ofdm_estimate_static_channel_exact():
     data = rng.standard_normal(n_data) + 1j * rng.standard_normal(n_data)
     rs = np.exp(2j * np.pi * rng.random(int(np.sum(roles == CELL_RS))))
     grid = place_ofdm_frame(data, rs, DESK, 0)
-    r = apply_channel(vsb_modulate(grid.values, DESK, 0), ch, None, cp_samples=5)
+    r = apply_channel(vsb_modulate(grid.values, DESK, 0), ch, cp_samples=5)
     y = vsb_demodulate(r, DESK, 0)
     rs_grid = place_ofdm_frame(np.zeros(n_data), rs, DESK, 0).values
     est = ofdm_estimate(y, rs_grid, roles, 0.0, num_delay_taps=5)

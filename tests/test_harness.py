@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,17 +140,23 @@ def test_sweep_is_thread_count_invariant(tmp_path):
 
 
 def test_bler_csv_schema(tmp_path):
-    res = run_sweep(VSB_SWEEP)
+    # 64-QAM puts two codewords in each frame, so trials and blocks differ
+    cfg = replace(VSB_SWEEP, modulation="64qam")
+    res = run_sweep(cfg)
     path = tmp_path / "bler.csv"
     write_bler_csv(path, res)
     rows = list(csv.DictReader(open(path)))
     assert len(rows) == 2
-    assert set(rows[0]) == {
-        "waveform", "mu", "snr_db", "trials", "block_errors", "bler", "ci_lo", "ci_hi",
-    }
+    assert list(rows[0]) == [
+        "waveform", "mu", "snr_db", "trials", "blocks",
+        "block_errors", "bler", "ci_lo", "ci_hi",
+    ]
     for row in rows:
         assert row["waveform"] == "vsb_ofdm" and row["mu"] == "0"
-        assert int(row["trials"]) > 0
+        # 12 errors at most never reach the early-stop target of 100
+        assert int(row["trials"]) == cfg.trials_per_point
+        # 800 data cells * 6 bits hold 2 whole 1944-bit codewords
+        assert int(row["blocks"]) == 2 * cfg.trials_per_point
         assert 0.0 <= float(row["ci_lo"]) <= float(row["bler"]) <= float(row["ci_hi"]) <= 1.0
     # the harsh point fails everything, the clean point almost nothing
     assert float(rows[0]["bler"]) > float(rows[1]["bler"])

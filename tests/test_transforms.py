@@ -1,25 +1,47 @@
 import numpy as np
 import pytest
 
-from otfsim.transforms import (
-    GridTransform,
-    add_cp,
-    block_ofdm_demodulate,
-    block_ofdm_modulate,
-    deinterleave,
-    interleave,
-    isfft,
-    otfs_demodulate,
-    otfs_modulate,
-    remove_cp,
-    sfft,
-)
+from otfsim.transforms import GridTransform, add_cp, deinterleave, interleave, remove_cp
 
 M, N = 16, 8
 
 
 def random_grid(rng, m=M, n=N):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def otfs_modulate(x):
+    """An M-by-N grid to OTFS samples through :class:`GridTransform`."""
+    m, n = x.shape
+    return GridTransform(m, n, "otfs").apply(x.ravel(order="F"))
+
+
+def block_ofdm_modulate(x):
+    """An M-by-N grid to block-OFDM samples through :class:`GridTransform`."""
+    m, n = x.shape
+    return GridTransform(m, n, "block_ofdm").apply(x.ravel(order="F"))
+
+
+# Textbook oracles for the transforms above.
+
+
+def isfft(x):
+    """Inverse symplectic finite Fourier transform of an M-by-N grid.
+
+    ``Z[m, n] = (NM)**-0.5 sum_{k,l} x[l, k] exp(j2pi(nk/N - ml/M))``,
+    i.e. a unitary DFT along delay and unitary IDFT along Doppler.
+    """
+    return np.fft.fft(np.fft.ifft(x, axis=1, norm="ortho"), axis=0, norm="ortho")
+
+
+def sfft(z):
+    """Symplectic finite Fourier transform, inverse of :func:`isfft`."""
+    return np.fft.fft(np.fft.ifft(z, axis=0, norm="ortho"), axis=1, norm="ortho")
+
+
+def heisenberg(tf_grid):
+    """Per-symbol IDFT across the M subcarriers, symbols sent in turn."""
+    return np.fft.ifft(tf_grid, axis=0, norm="ortho").ravel(order="F")
 
 
 def test_sfft_inverts_isfft():
@@ -33,19 +55,17 @@ def test_sfft_inverts_isfft():
 
 def test_modulators_invert():
     rng = np.random.default_rng(1)
-    x = random_grid(rng)
-    np.testing.assert_allclose(otfs_demodulate(otfs_modulate(x), M), x, atol=1e-12)
-    np.testing.assert_allclose(
-        block_ofdm_demodulate(block_ofdm_modulate(x), N), x, atol=1e-12
-    )
+    v = random_grid(rng).ravel(order="F")
+    for kind in ("otfs", "block_ofdm"):
+        t = GridTransform(M, N, kind)
+        np.testing.assert_allclose(t.adjoint(t.apply(v)), v, atol=1e-12)
 
 
 def test_otfs_factors_through_isfft():
     # grid -> ISFFT -> per-symbol IDFT across delay equals the direct map
     rng = np.random.default_rng(2)
     x = random_grid(rng)
-    via_tf = np.fft.ifft(isfft(x), axis=0, norm="ortho").ravel(order="F")
-    np.testing.assert_allclose(otfs_modulate(x), via_tf, atol=1e-12)
+    np.testing.assert_allclose(otfs_modulate(x), heisenberg(isfft(x)), atol=1e-12)
 
 
 def test_interleaver_permutation_law():
@@ -104,11 +124,15 @@ def test_grid_transform_matches_modulators():
     rng = np.random.default_rng(7)
     x = random_grid(rng)
     v = x.ravel(order="F")
+    # by definition, delay row m feeds an N-point IDFT whose sample n goes
+    # out at n*M + m (OTFS, interleaved) or m*N + n (block OFDM, in turn)
+    idft = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N) / np.sqrt(N)
+    s = x @ idft.T
     np.testing.assert_allclose(
-        GridTransform(M, N, "otfs").apply(v), otfs_modulate(x), atol=1e-12
+        GridTransform(M, N, "otfs").apply(v), s.ravel(order="F"), atol=1e-12
     )
     np.testing.assert_allclose(
-        GridTransform(M, N, "block_ofdm").apply(v), block_ofdm_modulate(x), atol=1e-12
+        GridTransform(M, N, "block_ofdm").apply(v), s.ravel(), atol=1e-12
     )
 
 
@@ -119,9 +143,7 @@ def test_grid_transform_rejects_unknown_kind():
 
 def test_shape_errors():
     with pytest.raises(ValueError):
-        otfs_modulate(np.zeros(8))
-    with pytest.raises(ValueError):
-        otfs_demodulate(np.zeros(9), 2)
+        deinterleave(np.zeros(9), 2, 2)
     with pytest.raises(ValueError):
         interleave(np.zeros(7), M, N)
 
