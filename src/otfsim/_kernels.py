@@ -1,8 +1,9 @@
-"""Hot numeric kernels: the channel operators and the min-sum decoder.
+"""Hot numeric kernels: the causal stream channel and the min-sum decoder.
 
 Each operation has one vectorized numpy implementation.  The tests
-check the channel kernels against the dense channel matrix and scalar
-loops, and the decoder against a scalar loop over the parity checks.
+check the stream kernel and the decoder against scalar loops.  The
+body-length channel operator is the sparse matrix that
+:class:`~otfsim.channel.ChannelRealization` builds.
 """
 
 from __future__ import annotations
@@ -17,37 +18,20 @@ def ltv_stream(samples, gains, delay_bins, phase_rates, t0):
     """Apply the time-varying multipath response along a sample stream.
 
     ``out[v] = sum_p gains[p] * exp(j*w_p*(v + t0 - l_p)) * samples[v - l_p]``
-    with samples before the stream start treated as zero.  ``t0`` places
-    the stream on the channel's absolute time axis.
+    with samples before the stream start treated as zero, so a tap
+    delayed past the stream's end adds nothing.  ``t0`` places the
+    stream on the channel's absolute time axis.
     """
     samples = np.ascontiguousarray(samples, dtype=np.complex128)
     out = np.zeros_like(samples)
     n = samples.size
     idx = np.arange(n)
     for g, l, w in zip(gains, delay_bins, phase_rates):
+        if l >= n:
+            continue
         delayed = np.zeros_like(samples)
         delayed[l:] = samples[: n - l] if l else samples
         out += g * np.exp(1j * w * (idx + t0 - l)) * delayed
-    return out
-
-
-def tap_apply(v, gains, delay_bins, phase_rates):
-    """Cyclic delay-Doppler channel times a vector (body-length operator)."""
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    out = np.zeros_like(v)
-    idx = np.arange(v.size)
-    for g, l, w in zip(gains, delay_bins, phase_rates):
-        out += g * np.exp(1j * w * (idx - l)) * np.roll(v, l)
-    return out
-
-
-def tap_apply_adjoint(v, gains, delay_bins, phase_rates):
-    """Adjoint of :func:`tap_apply`."""
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    out = np.zeros_like(v)
-    idx = np.arange(v.size)
-    for g, l, w in zip(gains, delay_bins, phase_rates):
-        out += np.conj(g) * np.exp(-1j * w * idx) * np.roll(v, -l)
     return out
 
 

@@ -11,6 +11,11 @@ diagonal Doppler phase ramp ``diag(exp(j 2 pi u / (M N)))``.  Physical
 application to a transmitted stream uses the same taps as a causal
 linear time-varying convolution; after stripping a long-enough cyclic
 prefix the two agree exactly, which the tests verify.
+
+Grouping the taps by delay gives ``H = sum_l diag(c_l) P**l``, with one
+diagonal per distinct delay.  Each realization builds this sparse form
+once; the body-length operator, its adjoint and the Gram matrix
+``H H^H`` all use it.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
+from scipy import sparse
 
 from . import _kernels
 from .grid import FrameParams
@@ -133,6 +140,27 @@ class ChannelRealization:
     def max_delay_bin(self) -> int:
         return int(self.delay_bins.max(initial=0))
 
+    @cached_property
+    def matrix(self) -> sparse.csr_array:
+        """H as a sparse matrix, built on first use and kept.
+
+        Row ``u`` holds ``c_l[u] = sum_p h_p exp(j w_p (u - l))`` over the
+        taps with delay ``l`` (mod ``M*N``), in column ``u - l`` (mod
+        ``M*N``): one non-zero per distinct delay.
+        """
+        n = self.block_len
+        rows = np.arange(n)
+        diagonals: dict[int, np.ndarray] = {}
+        for g, l, w in zip(self.gains, self.delay_bins, self.phase_rates):
+            c = diagonals.setdefault(int(l) % n, np.zeros(n, dtype=complex))
+            c += g * np.exp(1j * w * (rows - l))
+        delays = np.array(sorted(diagonals), dtype=np.int64)
+        data = np.array([diagonals[l] for l in delays.tolist()], dtype=complex)
+        cols = (rows[None, :] - delays[:, None]) % n
+        return sparse.csr_array(
+            (data.ravel(), (np.tile(rows, delays.size), cols.ravel())), shape=(n, n)
+        )
+
 
 def identity_channel(params: FrameParams) -> ChannelRealization:
     """Single unit tap at zero delay and Doppler."""
@@ -202,7 +230,11 @@ def sample_channel(
 
 
 def build_channel_matrix(ch: ChannelRealization) -> np.ndarray:
-    """Materialize H as a dense complex matrix (small grids only)."""
+    """Materialize H as a dense complex matrix, tap by tap (small grids only).
+
+    The dense oracle that the tests hold :attr:`ChannelRealization.matrix`
+    and the operators to.
+    """
     n = ch.block_len
     h = np.zeros((n, n), dtype=complex)
     rows = np.arange(n)
@@ -214,35 +246,24 @@ def build_channel_matrix(ch: ChannelRealization) -> np.ndarray:
 
 
 def apply_channel_operator(ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
-    """Matrix-free H @ v on one frame body."""
+    """H @ v on one frame body."""
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != ch.block_len:
         raise ValueError(f"expected {ch.block_len} samples, got {v.size}")
-    return _kernels.tap_apply(v, ch.gains, ch.delay_bins, ch.phase_rates)
+    return ch.matrix @ v
 
 
 def apply_channel_operator_adjoint(ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
-    """Matrix-free H.conj().T @ v on one frame body."""
+    """H.conj().T @ v on one frame body."""
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != ch.block_len:
         raise ValueError(f"expected {ch.block_len} samples, got {v.size}")
-    return _kernels.tap_apply_adjoint(v, ch.gains, ch.delay_bins, ch.phase_rates)
+    return np.conj(ch.matrix.T @ np.conj(v))
 
 
-def gram_matrix(ch: ChannelRealization) -> np.ndarray:
-    """Dense H @ H.conj().T assembled from tap pairs in O(P^2 MN)."""
-    n = ch.block_len
-    k = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    for p in ch.taps:
-        for q in ch.taps:
-            coeff = p.gain * np.conj(q.gain)
-            dk = p.doppler_bin - q.doppler_bin
-            rows = (cols + p.delay_bin - q.delay_bin) % n
-            k[rows, cols] += coeff * np.exp(
-                2j * np.pi * dk * (cols - q.delay_bin) / n
-            )
-    return k
+def gram_matrix(ch: ChannelRealization) -> sparse.csr_array:
+    """Sparse H @ H.conj().T: a cyclic band of half-width at most ``max_delay_bin``."""
+    return (ch.matrix @ ch.matrix.conj().T).tocsr()
 
 
 def apply_channel(

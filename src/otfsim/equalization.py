@@ -8,10 +8,10 @@ unitary grid transform),
 
 and per-symbol output noise sigma^2(eta) = sigma_n^2 times the squared
 row norms of the combining matrix.  Since A is unitary, G G^H equals
-H_hat H_hat^H, which assembles directly from the channel taps.  A dense
-Cholesky path serves frames up to a few thousand samples; a matrix-free
-conjugate-gradient path serves full-size frames, with the per-symbol
-variances estimated stochastically there.
+H_hat H_hat^H, the sparse cyclic band that the channel module builds
+from its few delay taps.  One sparse LU factor of G G^H + rho I serves
+the payload solve and the variances: exact column norms on frames up to
+``EXACT_VARIANCE_LIMIT`` samples, seeded random sign probes beyond.
 
 The narrowband-OFDM waveform uses per-cell division by the estimated
 gain with effective noise sigma_v^2 / |h|^2; cells whose estimate sits
@@ -24,8 +24,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from . import channel as chan
 from .channel import ChannelRealization
@@ -36,8 +36,11 @@ from .transforms import GridTransform
 VAR_FLOOR = 1e-30
 # |estimate| below this flags the cell as an erasure
 FADE_FLOOR = 1e-12
-# dense solves are practical up to this frame size
-DENSE_SIZE_LIMIT = 4096
+# exact variances solve against the dense n-by-n H: a complex array of
+# 16 n^2 bytes, 64 MB at n = 2048 and 268 MB at 4096; beyond, probes
+EXACT_VARIANCE_LIMIT = 2048
+# an LU pivot this far below the largest marks the system singular
+SINGULAR_PIVOT_RATIO = 1e-12
 
 
 @dataclass
@@ -70,29 +73,35 @@ class EqualizedFrame:
         )
 
 
-def _solve_dense(ch: ChannelRealization, rho: float, rhs: np.ndarray):
-    """Cholesky solve of (H H^H + rho I) x = rhs columns, with fallback."""
-    n = ch.block_len
-    k = chan.gram_matrix(ch)
-    k[np.arange(n), np.arange(n)] += rho
+def _factor(ch: ChannelRealization, rho: float):
+    """Sparse LU factor of H H^H + rho I, ridged if it is singular.
+
+    SuperLU raises only on an exactly zero pivot; a pivot that is zero
+    up to rounding is caught by its ratio to the largest one.
+    """
+    eye = sparse.identity(ch.block_len)
+    k = (chan.gram_matrix(ch) + rho * eye).tocsc()
     try:
-        factor = cho_factor(k, lower=True)
-    except np.linalg.LinAlgError:
-        scale = max(float(np.abs(k.diagonal().real).max()), 1.0)
-        ridge = 1e-12 * scale
-        warnings.warn(
-            f"equalizer system singular (condition above {scale / ridge:.2e});"
-            f" retrying with ridge {ridge:.2e}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        k[np.arange(n), np.arange(n)] += ridge
-        factor = cho_factor(k, lower=True)
-    return cho_solve(factor, rhs), factor
+        lu = splu(k)
+        pivots = np.abs(lu.U.diagonal())
+        singular = pivots.min() < SINGULAR_PIVOT_RATIO * pivots.max()
+    except RuntimeError:  # exactly singular
+        singular = True
+    if not singular:
+        return lu
+    scale = max(float(np.abs(k.diagonal().real).max()), 1.0)
+    ridge = 1e-12 * scale
+    warnings.warn(
+        f"equalizer system singular (condition above {scale / ridge:.2e});"
+        f" retrying with ridge {ridge:.2e}",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return splu((k + ridge * eye).tocsc())
 
 
-def _dense_noise_vars(
-    ch: ChannelRealization, transform: GridTransform, factor, noise_var: float
+def _exact_noise_vars(
+    ch: ChannelRealization, transform: GridTransform, lu, noise_var: float
 ) -> np.ndarray:
     """sigma_n^2 * squared column norms of (H H^H + rho I)^{-1} H A.
 
@@ -100,33 +109,17 @@ def _dense_noise_vars(
     conjugate transpose, so no dense A is formed; the columns of B A are
     the rows of its conjugate transpose.
     """
-    b = cho_solve(factor, chan.build_channel_matrix(ch))
+    b = lu.solve(ch.matrix.toarray())
     ba_hermitian = transform.adjoint(b.conj().T)
     col_norms_sq = np.sum(np.abs(ba_hermitian) ** 2, axis=1)
     return np.maximum(noise_var * col_norms_sq, VAR_FLOOR)
 
 
-def _cg_solve(ch: ChannelRealization, rho: float, rhs: np.ndarray, tol: float):
-    n = ch.block_len
-
-    def matvec(v):
-        return chan.apply_channel_operator(
-            ch, chan.apply_channel_operator_adjoint(ch, v)
-        ) + rho * v
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=complex)
-    out, info = cg(op, rhs, rtol=tol, atol=0.0, maxiter=10 * n)
-    if info != 0:
-        raise RuntimeError(f"conjugate-gradient solve did not converge (info={info})")
-    return out
-
-
-def _cg_noise_vars(
+def _probe_noise_vars(
     ch: ChannelRealization,
     transform: GridTransform,
-    rho: float,
+    lu,
     noise_var: float,
-    tol: float,
     probes: int,
     probe_seed: int,
 ) -> np.ndarray:
@@ -141,10 +134,8 @@ def _cg_noise_vars(
     acc = np.zeros(n)
     for _ in range(max(1, probes)):
         z = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        mz = _cg_solve(ch, rho, chan.apply_channel_operator(ch, transform.apply(z)), tol)
-        mhmz = transform.adjoint(
-            chan.apply_channel_operator_adjoint(ch, _cg_solve(ch, rho, mz, tol))
-        )
+        mz = lu.solve(chan.apply_channel_operator(ch, transform.apply(z)))
+        mhmz = transform.adjoint(chan.apply_channel_operator_adjoint(ch, lu.solve(mz)))
         acc += np.real(np.conj(z) * mhmz)
     diag = acc / max(1, probes)
     return np.maximum(noise_var * diag, VAR_FLOOR)
@@ -156,17 +147,14 @@ def lmmse_equalize(
     transform: GridTransform,
     noise_var: float,
     data_var: float = 1.0,
-    mode: str = "auto",
-    cg_tol: float = 1e-8,
     variance_probes: int = 8,
     probe_seed: int = 0,
 ) -> EqualizedFrame:
     """Whole-frame linear MMSE equalization against a tap-set estimate.
 
-    ``mode`` is ``"dense"``, ``"cg"`` or ``"auto"`` (dense up to
-    ``DENSE_SIZE_LIMIT`` samples, conjugate-gradient beyond).  The dense
-    path computes the per-symbol variances exactly; the iterative path
-    estimates them with ``variance_probes`` random probes.
+    Per-symbol variances are exact up to ``EXACT_VARIANCE_LIMIT``
+    samples and estimated with ``variance_probes`` random sign probes,
+    drawn from ``probe_seed``, beyond.
     """
     r_body = np.asarray(r_body, dtype=complex).ravel()
     n = transform.size
@@ -178,22 +166,15 @@ def lmmse_equalize(
         raise ValueError("data symbol power must be positive")
     if noise_var < 0:
         raise ValueError("noise variance must be non-negative")
-    if mode == "auto":
-        mode = "dense" if n <= DENSE_SIZE_LIMIT else "cg"
-    rho = noise_var / data_var
 
-    if mode == "dense":
-        z, factor = _solve_dense(ch, rho, r_body)
-        noise_vars = _dense_noise_vars(ch, transform, factor, noise_var)
-    elif mode == "cg":
-        z = _cg_solve(ch, rho, r_body, cg_tol)
-        noise_vars = _cg_noise_vars(
-            ch, transform, rho, noise_var, cg_tol, variance_probes, probe_seed
-        )
+    lu = _factor(ch, noise_var / data_var)
+    if n <= EXACT_VARIANCE_LIMIT:
+        noise_vars = _exact_noise_vars(ch, transform, lu, noise_var)
     else:
-        raise ValueError(f"unknown equalizer mode {mode!r}")
-
-    symbols = transform.adjoint(chan.apply_channel_operator_adjoint(ch, z))
+        noise_vars = _probe_noise_vars(
+            ch, transform, lu, noise_var, variance_probes, probe_seed
+        )
+    symbols = transform.adjoint(chan.apply_channel_operator_adjoint(ch, lu.solve(r_body)))
     return EqualizedFrame(symbols, noise_vars)
 
 

@@ -108,6 +108,7 @@ class RunConfig:
     fec_code: str = "ldpc_n1944_r23"
     min_sum_scale: float = 0.75
     ldpc_max_iters: int = 50
+    # nothing reads these two; they stay so existing configs keep their config_hash()
     equalizer_mode: str = "auto"
     cg_tol: float = 1e-8
     variance_probes: int = 8
@@ -417,8 +418,6 @@ class LinkSimulator:
                 est,
                 transform,
                 nv_eff,
-                mode=cfg.equalizer_mode,
-                cg_tol=cfg.cg_tol,
                 variance_probes=cfg.variance_probes,
                 probe_seed=seed & 0xFFFFFFFF,
             ).select(self.dd_data_idx)

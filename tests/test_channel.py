@@ -116,7 +116,7 @@ def test_operator_matches_dense_matrix():
     np.testing.assert_allclose(
         apply_channel_operator_adjoint(ch, v), h.conj().T @ v, atol=1e-12
     )
-    np.testing.assert_allclose(gram_matrix(ch), h @ h.conj().T, atol=1e-12)
+    np.testing.assert_allclose(gram_matrix(ch).toarray(), h @ h.conj().T, atol=1e-12)
 
 
 def test_operator_adjoint_identity():

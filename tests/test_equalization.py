@@ -9,6 +9,8 @@ from otfsim.channel import (
 )
 from otfsim.equalization import (
     EqualizedFrame,
+    _factor,
+    _probe_noise_vars,
     compute_llrs,
     lmmse_equalize,
     single_tap_equalize,
@@ -89,30 +91,29 @@ def test_zero_forcing_limit():
     np.testing.assert_allclose(out.symbols, x, atol=1e-6)
 
 
-def test_cg_agrees_with_dense():
-    rng = np.random.default_rng(4)
-    m, n = 16, 8
-    ch = random_channel(rng, m, n, n_taps=4)
-    t = GridTransform(m, n, "otfs")
-    r = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    dense = lmmse_equalize(r, ch, t, noise_var=0.25, mode="dense")
-    iterative = lmmse_equalize(r, ch, t, noise_var=0.25, mode="cg", cg_tol=1e-12)
-    np.testing.assert_allclose(iterative.symbols, dense.symbols, atol=1e-8)
-
-
 def test_stochastic_variances_track_exact():
+    # frames this small get exact variances; the probe estimator that
+    # larger frames use is called directly on the same factor
     rng = np.random.default_rng(5)
     m, n = 16, 8
     ch = random_channel(rng, m, n, n_taps=4)
     t = GridTransform(m, n, "otfs")
-    dense = lmmse_equalize(np.zeros(128), ch, t, noise_var=0.25, mode="dense")
-    est = lmmse_equalize(
-        np.zeros(128), ch, t, noise_var=0.25, mode="cg",
-        variance_probes=64, probe_seed=9,
-    )
-    ratio = est.noise_vars / dense.noise_vars
+    exact = lmmse_equalize(np.zeros(128), ch, t, noise_var=0.25).noise_vars
+    est = _probe_noise_vars(ch, t, _factor(ch, 0.25), 0.25, probes=64, probe_seed=9)
+    ratio = est / exact
     assert np.median(np.abs(ratio - 1.0)) < 0.4
-    assert abs(np.mean(est.noise_vars) / np.mean(dense.noise_vars) - 1.0) < 0.1
+    assert abs(np.mean(est) / np.mean(exact) - 1.0) < 0.1
+
+
+def test_singular_system_retries_with_ridge():
+    # noiseless H = I - P annihilates the all-ones vector from the left,
+    # so H H^H is singular; an unridged solve blows rounding up to O(10)
+    ch = ChannelRealization((PathTap(1.0, 0, 0), PathTap(-1.0, 1, 0)), 8, 4)
+    t = GridTransform(8, 4, "otfs")
+    with pytest.warns(RuntimeWarning, match="^equalizer system singular"):
+        out = lmmse_equalize(np.ones(32), ch, t, noise_var=0.0)
+    assert np.all(np.isfinite(out.symbols))
+    assert np.abs(out.symbols).max() < 1e-2
 
 
 def test_mode_and_shape_validation():
@@ -122,8 +123,6 @@ def test_mode_and_shape_validation():
         lmmse_equalize(np.zeros(7), ch, t, 0.1)
     with pytest.raises(ValueError):
         lmmse_equalize(np.zeros(8), ch, GridTransform(4, 4, "otfs"), 0.1)
-    with pytest.raises(ValueError):
-        lmmse_equalize(np.zeros(8), ch, t, 0.1, mode="newton")
     with pytest.raises(ValueError):
         lmmse_equalize(np.zeros(8), ch, t, -0.1)
     with pytest.raises(ValueError):

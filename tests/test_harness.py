@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,21 @@ def test_sweep_is_thread_count_invariant(tmp_path):
         write_bler_csv(path, res)
         files.append(path.read_bytes())
     assert files[0] == files[1]
+
+
+def test_trials_are_independent_of_execution_order():
+    # one simulator runs the same trials forward and shuffled: no state
+    # (channel matrix, solver factor, generator) may leak between trials
+    sim = LinkSimulator(DESK)
+    jobs = [
+        (wf, trial_seed(9, wf.label, 0, t)) for wf in ALL_WAVEFORMS for t in range(2)
+    ]
+    forward = {seed: sim.run_trial(wf, 16.0, seed) for wf, seed in jobs}
+    shuffled = list(jobs)
+    random.Random(4).shuffle(shuffled)
+    assert shuffled != jobs
+    again = {seed: sim.run_trial(wf, 16.0, seed) for wf, seed in shuffled}
+    assert again == forward
 
 
 def test_bler_csv_schema(tmp_path):

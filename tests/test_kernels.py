@@ -4,24 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otfsim import _kernels as kernels
-from otfsim.channel import ChannelRealization, PathTap, build_channel_matrix
+from otfsim.channel import (
+    ChannelRealization,
+    PathTap,
+    apply_channel_operator,
+    apply_channel_operator_adjoint,
+    build_channel_matrix,
+)
 from otfsim.fec import default_code
 
 # the same draws on every run: a fixed seed and no replay of saved examples
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def random_taps(rng, n_taps, n, max_delay=4):
+def random_channel(rng, n_taps, m, n, max_delay=4):
     gains = (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)) / 2
     delays = rng.integers(0, max_delay, n_taps)
-    rates = 2 * np.pi * rng.integers(-3, 4, n_taps) / n
-    return gains, delays, rates
+    dopplers = rng.integers(-3, 4, n_taps)
+    taps = tuple(PathTap(g, int(l), int(k)) for g, l, k in zip(gains, delays, dopplers))
+    return ChannelRealization(taps, m, n)
 
 
 @st.composite
-def channels(draw):
-    """Random tap sets whose delays may reach the last sample (and wrap)
-    and whose Doppler bins may be negative."""
+def channels(draw, delay_span=1):
+    """Random tap sets whose delays may reach ``delay_span`` frame bodies
+    (so they wrap) and whose Doppler bins may be negative."""
     m = draw(st.integers(1, 16))
     n = draw(st.integers(1, 8))
     size = m * n
@@ -31,7 +38,7 @@ def channels(draw):
             st.builds(
                 PathTap,
                 st.builds(complex, parts, parts),
-                st.integers(0, size - 1),
+                st.integers(0, delay_span * size - 1),
                 st.integers(-n, n),
             ),
             min_size=1,
@@ -53,10 +60,9 @@ def complex_vector(draw, size):
 def test_tap_kernels_match_dense_matrix(ch, data):
     v = complex_vector(data.draw, ch.block_len)
     h = build_channel_matrix(ch)
-    args = (ch.gains, ch.delay_bins, ch.phase_rates)
-    np.testing.assert_allclose(kernels.tap_apply(v, *args), h @ v, atol=1e-11)
+    np.testing.assert_allclose(apply_channel_operator(ch, v), h @ v, atol=1e-11)
     np.testing.assert_allclose(
-        kernels.tap_apply_adjoint(v, *args), h.conj().T @ v, atol=1e-11
+        apply_channel_operator_adjoint(ch, v), h.conj().T @ v, atol=1e-11
     )
 
 
@@ -74,10 +80,11 @@ def ltv_stream_loop(samples, gains, delay_bins, phase_rates, t0):
 
 
 @PROPERTY
-@given(channels(), st.data())
+@given(channels(delay_span=3), st.data())
 def test_ltv_stream_matches_scalar_loop(ch, data):
     # the stream is a prefix plus the body, placed at time -cp as the
-    # channel does, so the prefix region and a non-zero t0 are covered
+    # channel does, so the prefix region and a non-zero t0 are covered;
+    # delays reach past the stream's end, where a tap adds nothing
     cp = data.draw(st.integers(0, ch.block_len - 1))
     stream = complex_vector(data.draw, cp + ch.block_len)
     args = (ch.gains, ch.delay_bins, ch.phase_rates, -float(cp))
@@ -99,9 +106,9 @@ def test_tap_apply_adjoint_identity(seed, max_delay):
     n = 256
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w_vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    g, l, w = random_taps(rng, 5, n, max_delay)
-    hv = kernels.tap_apply(v, g, l, w)
-    hw = kernels.tap_apply_adjoint(w_vec, g, l, w)
+    ch = random_channel(rng, 5, 16, 16, max_delay)
+    hv = apply_channel_operator(ch, v)
+    hw = apply_channel_operator_adjoint(ch, w_vec)
     assert np.vdot(w_vec, hv) == pytest.approx(np.vdot(hw, v), abs=1e-9)
 
 
@@ -112,8 +119,8 @@ def test_ltv_stream_zero_history():
     out = kernels.ltv_stream(s, np.array([1.0 + 0j]), np.array([2]), np.array([0.0]), 0.0)
     np.testing.assert_array_equal(out[:2], 0.0)
     np.testing.assert_array_equal(out[2:], s[:-2])
-    # tap_apply on the same input wraps cyclically instead
-    wrapped = kernels.tap_apply(s, np.array([1.0 + 0j]), np.array([2]), np.array([0.0]))
+    # the body-length operator on the same input wraps cyclically instead
+    wrapped = apply_channel_operator(ChannelRealization((PathTap(1.0, 2, 0),), 8, 1), s)
     np.testing.assert_array_equal(wrapped, np.roll(s, 2))
 
 
