@@ -4,8 +4,10 @@ The code is defined by a base matrix of circulant shifts (-1 marks an
 all-zero block) lifted by Z.  The bundled definition is the published
 IEEE 802.11n rate-2/3, n=1944, Z=81 matrix; its parity part is one
 arbitrary-shift column followed by a zero-shift dual diagonal, which the
-encoder exploits: the first parity block falls out of the XOR of all
-block-row syndromes, the rest by forward substitution.
+encoder exploits (Richardson & Urbanke, "Efficient encoding of LDPC
+codes", IEEE Trans. IT 2001): the first parity block falls out of the XOR
+of all block-row syndromes, the rest by forward substitution.  Each step
+runs on every codeword of a call at once.
 
 LLR convention throughout: positive favours bit 0.
 """
@@ -53,6 +55,7 @@ class LdpcCode:
         self.name = name
         self.reference = reference
         self._graph: LdpcGraph | None = None
+        self._encoder: tuple[np.ndarray, np.ndarray] | None = None
         self._check_encodable()
 
     @property
@@ -94,23 +97,47 @@ class LdpcCode:
             self._graph = self._build_graph()
         return self._graph
 
+    def _lift(self, hb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lifted adjacency of a block of base rows, padded per row.
+
+        Entry ``[i, e, d]`` is the variable that lifted check ``i*z + e``
+        reaches through the ``d``-th non-negative shift of base row ``i``
+        (columns in ascending order): ``j*z + (e + shift) % z``.  The
+        mask marks the real slots.
+        """
+        z = self.lifting
+        degree = int((hb >= 0).sum(axis=1).max())
+        cols = np.argsort(hb < 0, axis=1, kind="stable")[:, :degree]
+        shifts = np.take_along_axis(hb, cols, axis=1)[:, None, :]
+        idx = cols[:, None, :] * z + (np.arange(z)[None, :, None] + shifts) % z
+        return idx, np.broadcast_to(shifts >= 0, idx.shape)
+
     def _build_graph(self) -> LdpcGraph:
-        hb, z = self.base_matrix, self.lifting
-        rows = hb.shape[0]
-        offsets = np.arange(z)
-        max_deg = int((hb >= 0).sum(axis=1).max())
-        chk_vars = np.zeros((rows * z, max_deg), dtype=np.int64)
-        chk_mask = np.zeros((rows * z, max_deg), dtype=bool)
-        for i in range(rows):
-            cols = np.flatnonzero(hb[i] >= 0)
-            shifts = hb[i, cols]
-            # lifted check i*z + e touches variable j*z + (e + shift) % z
-            block = slice(i * z, (i + 1) * z)
-            chk_vars[block, : cols.size] = (
-                cols[None, :] * z + (offsets[:, None] + shifts[None, :]) % z
+        idx, mask = self._lift(self.base_matrix)
+        n_checks = idx.shape[0] * idx.shape[1]
+        return LdpcGraph(
+            np.where(mask, idx, 0).reshape(n_checks, -1), mask.reshape(n_checks, -1)
+        )
+
+    def _encoder_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Encoder gather indices (cached), each padded with a zero bit.
+
+        ``info`` (max info degree, rows, z) indexes the flat message with
+        one zero bit appended, so padded slots XOR in nothing; the degree
+        axis leads so the XOR over it runs on whole rows.  ``anchor``
+        (rows - 1, z) indexes the first parity block with one zero bit
+        appended, at ``z`` where the anchor column is empty.
+        """
+        if self._encoder is None:
+            hb, z = self.base_matrix, self.lifting
+            kb = hb.shape[1] - hb.shape[0]
+            idx, mask = self._lift(hb[:, :kb])
+            shift = hb[:-1, kb, None]
+            self._encoder = (
+                np.where(mask, idx, kb * z).transpose(2, 0, 1).copy(),
+                np.where(shift >= 0, (np.arange(z) + shift) % z, z),
             )
-            chk_mask[block, : cols.size] = True
-        return LdpcGraph(chk_vars, chk_mask)
+        return self._encoder
 
     def encode(self, msg_bits: np.ndarray) -> np.ndarray:
         """Systematic codewords, one row per message_len chunk.
@@ -124,23 +151,17 @@ class LdpcCode:
             raise ValueError(
                 f"message length {msg_bits.size} is not a multiple of {self.message_len}"
             )
-        hb, z = self.base_matrix, self.lifting
-        rows = hb.shape[0]
-        kb = hb.shape[1] - rows
-        msgs = msg_bits.reshape(-1, kb, z)
-        out = np.empty((msgs.shape[0], self.codeword_len), dtype=np.uint8)
-        for w, s in enumerate(msgs):
-            t = np.zeros((rows, z), dtype=np.uint8)
-            for i in range(rows):
-                for j in np.flatnonzero(hb[i, :kb] >= 0):
-                    t[i] ^= np.roll(s[j], -hb[i, j])
-            p = np.zeros((rows, z), dtype=np.uint8)
-            p[0] = np.bitwise_xor.reduce(t, axis=0)
-            for i in range(rows - 1):
-                p[i + 1] = t[i] ^ (p[i] if i else 0)
-                if hb[i, kb] >= 0:
-                    p[i + 1] ^= np.roll(p[0], -hb[i, kb])
-            out[w] = np.concatenate([s.ravel(), p.ravel()])
+        info, anchor = self._encoder_tables()
+        msgs = msg_bits.reshape(-1, self.message_len)
+        zero = np.zeros((msgs.shape[0], 1), dtype=np.uint8)
+        # row syndromes of the message: t[w, i] = XOR_j roll(s[w, j], -hb[i, j])
+        t = np.bitwise_xor.reduce(np.take(np.hstack([msgs, zero]), info, axis=1), axis=1)
+        p0 = np.bitwise_xor.reduce(t, axis=1)
+        # forward substitution down the dual diagonal: p[1] = t[0] ^ a[0] and
+        # p[i + 1] = p[i] ^ t[i] ^ a[i], where a[i] = roll(p0, -hb[i, kb]) or 0
+        a = np.take(np.hstack([p0, zero]), anchor, axis=1)
+        rest = np.bitwise_xor.accumulate(t[:, :-1] ^ a, axis=1)
+        out = np.hstack([msgs, p0, rest.reshape(msgs.shape[0], -1)])
         return out[0] if single else out
 
     def decode(
@@ -154,9 +175,15 @@ class LdpcCode:
         Returns ``(bits, ok)``: hard decisions shaped like the input and
         one all-checks-satisfied flag per codeword.  Decoding stops early
         once the checks pass; an input whose hard decisions already form
-        a codeword comes back unchanged.
+        a codeword comes back unchanged.  Only ``(n,)`` and ``(n, W)``
+        inputs with ``n == codeword_len`` are accepted.
         """
         llrs = np.asarray(llrs, dtype=float)
+        if llrs.ndim not in (1, 2) or llrs.shape[0] != self.codeword_len:
+            raise ValueError(
+                f"LLRs shaped {llrs.shape} are neither ({self.codeword_len},) "
+                f"nor ({self.codeword_len}, W)"
+            )
         single = llrs.ndim == 1
         cols = llrs.reshape(self.codeword_len, -1)
         bits = np.empty_like(cols, dtype=np.uint8)

@@ -293,11 +293,8 @@ class LinkSimulator:
         bits, ok = self.code.decode(
             fec.reshape_llrs(flat, n), self.cfg.min_sum_scale, self.cfg.ldpc_max_iters
         )
-        errors = 0
-        for w in range(n_cw):
-            good = ok[w] and np.array_equal(bits[:k, w], msg[w * k : (w + 1) * k])
-            errors += not good
-        return errors, n_cw
+        good = ok & (bits[:k] == msg.reshape(n_cw, k).T).all(axis=0)
+        return int(n_cw - good.sum()), n_cw
 
     # ----------------------------------------------------------- frame build
 

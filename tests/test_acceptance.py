@@ -214,10 +214,10 @@ def test_criterion_6_pilot_power_accounting():
 # impulse holds about 39% of the desk frame's energy against about 1% at
 # full scale.  The desk run measures a different regime, and no single
 # desk boost reproduces both the peak and the energy share, so the boosts
-# are not rescaled.  At full scale `build_stream` costs 0.12-0.15 s a
-# frame (mostly LDPC encoding), so the 80,000 frames take about 3 h
-# against the 300 s limit.  The criterion fails here until full-scale
-# transmission gets cheaper.
+# are not rescaled.  At full scale `build_stream` costs 3-6 ms a frame
+# on 2 vCPUs, so the 80,000 frames take about 280-510 s against the 300 s
+# limit, which holds about 47,000-86,000 frames.  The criterion fails
+# here until full-scale transmission gets cheaper.
 def test_criterion_7_papr_trend():
     start = time.perf_counter()
     frames = 20_000

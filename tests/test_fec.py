@@ -3,10 +3,52 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otfsim.fec import LdpcCode, default_code, load_code, reshape_llrs
 
 CODE = default_code()
+
+# the same draws on every run: a fixed seed and no replay of saved examples
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# Z = 5, info row degrees 2 or 3; the anchor column (3) hits rows 0, 2
+# and 3, so row 1 has no anchor term
+SMALL_CODE = LdpcCode(
+    [
+        [1, 0, -1, 2, 0, -1, -1],
+        [3, -1, 4, -1, 0, 0, -1],
+        [-1, 2, 0, 0, -1, 0, 0],
+        [4, 1, 3, 2, -1, -1, 0],
+    ],
+    5,
+)
+
+
+def encode_oracle(code, msg_bits):
+    """Block-by-block encoder: row syndromes from rolled message blocks,
+    then forward substitution down the dual diagonal."""
+    msg_bits = np.asarray(msg_bits, dtype=np.uint8).ravel()
+    single = msg_bits.size == code.message_len
+    hb, z = code.base_matrix, code.lifting
+    rows = hb.shape[0]
+    kb = hb.shape[1] - rows
+    msgs = msg_bits.reshape(-1, kb, z)
+    out = np.empty((msgs.shape[0], code.codeword_len), dtype=np.uint8)
+    for w, s in enumerate(msgs):
+        t = np.zeros((rows, z), dtype=np.uint8)
+        for i in range(rows):
+            for j in np.flatnonzero(hb[i, :kb] >= 0):
+                t[i] ^= np.roll(s[j], -hb[i, j])
+        p = np.zeros((rows, z), dtype=np.uint8)
+        p[0] = np.bitwise_xor.reduce(t, axis=0)
+        for i in range(rows - 1):
+            p[i + 1] = t[i] ^ (p[i] if i else 0)
+            if hb[i, kb] >= 0:
+                p[i + 1] ^= np.roll(p[0], -hb[i, kb])
+        out[w] = np.concatenate([s.ravel(), p.ravel()])
+    return out[0] if single else out
 
 
 def to_llrs(bits, good=8.0):
@@ -29,6 +71,18 @@ def test_encoded_words_satisfy_every_check():
         # systematic: the message prefix is the message
     msg = rng.integers(0, 2, CODE.message_len)
     np.testing.assert_array_equal(CODE.encode(msg)[: CODE.message_len], msg)
+
+
+@PROPERTY
+@given(st.sampled_from([CODE, SMALL_CODE]), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_encode_matches_oracle(code, n_msgs, seed):
+    msgs = np.random.default_rng(seed).integers(0, 2, n_msgs * code.message_len)
+    fast = code.encode(msgs)
+    np.testing.assert_array_equal(fast, encode_oracle(code, msgs))
+    assert fast.dtype == np.uint8
+    assert fast.shape == ((code.codeword_len,) if n_msgs == 1 else (n_msgs, code.codeword_len))
+    for cw in np.atleast_2d(fast):
+        assert code.graph.syndrome_ok(cw)
 
 
 def test_single_bit_flip_breaks_and_decodes():
@@ -71,6 +125,17 @@ def test_decode_corrects_moderate_noise():
     bits, ok = CODE.decode(llrs)
     assert ok
     np.testing.assert_array_equal(bits, cw)
+
+
+def test_decode_rejects_unsupported_shapes():
+    rng = np.random.default_rng(6)
+    cws = CODE.encode(rng.integers(0, 2, 2 * CODE.message_len))
+    with pytest.raises(ValueError):
+        CODE.decode(to_llrs(cws.ravel()))  # two codewords run together
+    with pytest.raises(ValueError):
+        CODE.decode(to_llrs(cws))  # one row per codeword, as encode returns
+    with pytest.raises(ValueError):
+        CODE.decode(to_llrs(cws.T)[None])
 
 
 def test_reshape_llrs():
