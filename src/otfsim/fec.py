@@ -14,6 +14,7 @@ LLR convention throughout: positive favours bit 0.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -25,10 +26,16 @@ from . import _kernels
 
 @dataclass(frozen=True)
 class LdpcGraph:
-    """Parity-check adjacency, one padded row of variables per check."""
+    """Parity-check adjacency, padded per check and in CSR form.
+
+    The CSR arrays list the same edges in the same check-major order as
+    the valid padded slots; the decoder reads them.
+    """
 
     chk_vars: np.ndarray  # (n_checks, max_degree) padded variable indices
     chk_mask: np.ndarray  # validity of each padded slot
+    check_ptr: np.ndarray  # int64 (n_checks + 1,): check c owns edges ptr[c]..ptr[c+1]-1
+    edge_var: np.ndarray  # int64 (n_edges,): the variable each edge reaches
 
     @property
     def n_checks(self) -> int:
@@ -115,8 +122,14 @@ class LdpcCode:
     def _build_graph(self) -> LdpcGraph:
         idx, mask = self._lift(self.base_matrix)
         n_checks = idx.shape[0] * idx.shape[1]
+        chk_vars = np.where(mask, idx, 0).reshape(n_checks, -1)
+        chk_mask = mask.reshape(n_checks, -1)
+        check_ptr = np.concatenate([[0], np.cumsum(chk_mask.sum(axis=1))])
         return LdpcGraph(
-            np.where(mask, idx, 0).reshape(n_checks, -1), mask.reshape(n_checks, -1)
+            chk_vars,
+            chk_mask,
+            check_ptr.astype(np.int64),
+            np.ascontiguousarray(chk_vars[chk_mask], dtype=np.int64),
         )
 
     def _encoder_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,12 +219,23 @@ def reshape_llrs(flat: np.ndarray, codeword_len: int) -> np.ndarray:
 
 
 def load_code(source: str = "ldpc_n1944_r23") -> LdpcCode:
-    """Load a code definition by bundled name or JSON path."""
-    try:
-        text = resources.files("otfsim.data").joinpath(f"{source}.json").read_text()
-    except FileNotFoundError:
-        with open(source) as fh:
-            text = fh.read()
+    """Load a code definition by bundled name or JSON path.
+
+    A bundled code is built once per process and shared, so its decoding
+    graph and encoder tables are built once too; a path is read afresh.
+    """
+    if resources.files("otfsim.data").joinpath(f"{source}.json").is_file():
+        return _bundled_code(source)
+    with open(source) as fh:
+        return _parse_code(fh.read())
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_code(name: str) -> LdpcCode:
+    return _parse_code(resources.files("otfsim.data").joinpath(f"{name}.json").read_text())
+
+
+def _parse_code(text: str) -> LdpcCode:
     raw = json.loads(text)
     return LdpcCode(
         raw["base_matrix"],
@@ -221,12 +245,6 @@ def load_code(source: str = "ldpc_n1944_r23") -> LdpcCode:
     )
 
 
-_DEFAULT: LdpcCode | None = None
-
-
 def default_code() -> LdpcCode:
-    """The bundled rate-2/3, n=1944 code (cached)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_code()
-    return _DEFAULT
+    """The bundled rate-2/3, n=1944 code, shared like every bundled code."""
+    return load_code()

@@ -8,6 +8,7 @@ data plus scattered reference symbols on a resource-block lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -292,14 +293,19 @@ def _prb_origins(n_sc: int, n_sym: int):
             yield f * PRB_SUBCARRIERS, t * PRB_SYMBOLS
 
 
+@functools.lru_cache(maxsize=16)
 def ofdm_roles(params: FrameParams, mu: int) -> np.ndarray:
-    """Role map for the OFDM frame: RS lattice, data, unused remainder."""
+    """Role map for the OFDM frame: RS lattice, data, unused remainder.
+
+    Built once per geometry and shared, so the array is read-only.
+    """
     n_sc, n_sym, _ = derive_vsb_dims(params, mu)
     roles = np.full((n_sc, n_sym), CELL_UNUSED, dtype=np.uint8)
     for sc0, sym0 in _prb_origins(n_sc, n_sym):
         roles[sc0 : sc0 + PRB_SUBCARRIERS, sym0 : sym0 + PRB_SYMBOLS] = CELL_DATA
         for dsc, dsym in PRB_RS_PATTERN:
             roles[sc0 + dsc, sym0 + dsym] = CELL_RS
+    roles.flags.writeable = False
     return roles
 
 

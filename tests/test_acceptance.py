@@ -255,10 +255,10 @@ def test_criterion_7_papr_trend():
 #   represent less than 7.5 kHz; the matching k_nu = 24 would need the
 #   pilot at k_p in [49, -34], an empty range at N = 16;
 # - the mu ladder needs mu = 3, and num_prb(desk, 3) == 0.
-# Both hold trivially at full scale, but there one OTFS trial takes
-# 0.8-2.2 s on 2 vCPUs, so the 2,000 OTFS and block-OFDM trials take about
-# 50 min against the 1800 s limit.  The criterion fails here until
-# full-scale trials get cheaper.
+# Both hold trivially at full scale, but there one OTFS trial at 12 dB
+# takes 0.55-1.1 s on 2 vCPUs (block OFDM 0.8-1.2 s), so the 2,000 OTFS
+# and block-OFDM trials take about 18-40 min against the 1800 s limit.
+# The criterion fails here until full-scale trials get cheaper.
 def test_criterion_8_bler_ordering():
     start = time.perf_counter()
     details = []

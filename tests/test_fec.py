@@ -194,8 +194,13 @@ def test_encode_input_validation():
         CODE.encode(np.zeros(0, dtype=np.uint8))
 
 
-def test_load_code_matches_default():
-    code = load_code("ldpc_n1944_r23")
+def test_load_code_matches_default(tmp_path):
+    # a bundled code is parsed once and shared; a path is read afresh
+    assert load_code("ldpc_n1944_r23") is CODE
+    path = tmp_path / "code.json"
+    path.write_text(resources.files("otfsim.data").joinpath("ldpc_n1944_r23.json").read_text())
+    code = load_code(str(path))
+    assert code is not CODE and load_code(str(path)) is not code
     np.testing.assert_array_equal(code.base_matrix, CODE.base_matrix)
     assert code.lifting == CODE.lifting
     assert code.reference  # provenance string travels with the data file

@@ -147,6 +147,10 @@ def test_ofdm_roles_and_round_trip():
     flat = grid.values.ravel(order="F")
     np.testing.assert_allclose(flat[roles.ravel(order="F") == CELL_RS], rs)
     assert np.all(flat[roles.ravel(order="F") == CELL_UNUSED] == 0)
+    # every frame of a geometry shares one read-only map
+    assert ofdm_roles(DESK, 0) is roles and grid.roles is roles
+    with pytest.raises(ValueError):
+        roles[0, 0] = CELL_DATA
 
 
 def test_data_cell_indices_are_column_major():

@@ -1,7 +1,14 @@
+import ctypes
+import shutil
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fec import SMALL_CODE
 
 from otfsim import _kernels as kernels
 from otfsim.channel import (
@@ -124,6 +131,55 @@ def test_ltv_stream_zero_history():
     np.testing.assert_array_equal(wrapped, np.roll(s, 2))
 
 
+def _min_sum_numpy(llr, graph, alpha, max_iters):
+    """Numpy oracle for :func:`otfsim._kernels.min_sum_decode`.
+
+    The flooding kernel the package ran before the C decoder, vectorized
+    over the padded parity-check adjacency (``chk_vars``/``chk_mask``).
+    """
+    llr = np.ascontiguousarray(llr, dtype=np.float64)
+    alpha = float(alpha)
+    max_iters = int(max_iters)
+    chk_vars, chk_mask = graph.chk_vars, graph.chk_mask
+    n_vars = llr.size
+    c2v = np.zeros(chk_vars.shape)
+    total = llr.copy()
+
+    def hard_and_ok(total):
+        hard = (total <= 0.0).astype(np.uint8)
+        return hard, graph.syndrome_ok(hard)
+
+    hard, ok = hard_and_ok(total)
+    if ok:
+        return hard, True, 0
+
+    for it in range(max_iters):
+        v2c = total[chk_vars] - c2v
+        signs = np.where(v2c < 0.0, -1.0, 1.0)
+        mags = np.where(chk_mask, np.abs(v2c), np.inf)
+        sign_prod = np.prod(np.where(chk_mask, signs, 1.0), axis=1)
+        order = np.argmin(mags, axis=1)
+        rows = np.arange(mags.shape[0])
+        min1 = mags[rows, order]
+        mags2 = mags.copy()
+        mags2[rows, order] = np.inf
+        min2 = np.min(mags2, axis=1)
+        ext = np.where(
+            np.arange(mags.shape[1])[None, :] == order[:, None],
+            min2[:, None],
+            min1[:, None],
+        )
+        new = alpha * sign_prod[:, None] * signs * ext
+        new = np.where(chk_mask, new, 0.0)
+        total = llr + np.zeros(n_vars)
+        np.add.at(total, chk_vars[chk_mask], new[chk_mask])
+        c2v = new
+        hard, ok = hard_and_ok(total)
+        if ok:
+            return hard, True, it + 1
+    return hard, False, max_iters
+
+
 def _min_sum_loop(llr, check_ptr, edge_var, alpha, max_iters):
     """Scalar oracle for :func:`otfsim._kernels.min_sum_decode`.
 
@@ -235,3 +291,153 @@ def test_min_sum_counts_iterations():
     noisy[100] *= -1
     _, ok, iters = kernels.min_sum_decode(noisy, code.graph, 0.75, 30)
     assert ok and 1 <= iters <= 5
+
+
+def test_graph_csr_lists_the_padded_edges():
+    for code in (default_code(), SMALL_CODE):
+        graph = code.graph
+        assert graph.check_ptr.dtype == graph.edge_var.dtype == np.int64
+        np.testing.assert_array_equal(
+            graph.check_ptr, np.concatenate([[0], np.cumsum(graph.chk_mask.sum(axis=1))])
+        )
+        np.testing.assert_array_equal(graph.edge_var, graph.chk_vars[graph.chk_mask])
+
+
+def noisy_llrs(code, sigma, seed, kind):
+    """Channel LLRs of a random codeword, then reshaped to stress the
+    decoder's arithmetic: exact ties, signed zeros, or huge magnitudes."""
+    rng = np.random.default_rng(seed)
+    cw = code.encode(rng.integers(0, 2, code.message_len))
+    llr = 2.0 * (1.0 - 2.0 * cw + sigma * rng.standard_normal(cw.size)) / sigma**2
+    if kind == "rounded":  # many equal magnitudes, +0.0 and -0.0
+        return np.round(llr)
+    if kind == "zeros":
+        return np.zeros(cw.size)
+    if kind == "signed_zeros":
+        return np.where(rng.random(cw.size) < 0.3, -0.0, np.round(llr))
+    if kind == "huge":
+        return llr * (1e300 / np.abs(llr).max())
+    if kind == "overflow":  # the totals overflow to inf, then messages turn NaN
+        return llr * (1.7e308 / np.abs(llr).max())
+    if kind == "mixed_huge":
+        return np.where(rng.random(cw.size) < 0.1, np.copysign(1e300, llr), llr)
+    return llr
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([default_code(), SMALL_CODE]),
+    st.sampled_from([0.4, 0.7, 0.9, 1.2]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(
+        ["noisy", "rounded", "zeros", "signed_zeros", "huge", "mixed_huge", "overflow"]
+    ),
+    st.sampled_from([0, 1, 5, 50]),
+)
+def test_min_sum_matches_numpy_kernel(code, sigma, seed, kind, max_iters):
+    llr = noisy_llrs(code, sigma, seed, kind)
+    bits, ok, iters = kernels.min_sum_decode(llr, code.graph, 0.75, max_iters)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_bits, want_ok, want_iters = _min_sum_numpy(llr, code.graph, 0.75, max_iters)
+    assert bits.dtype == np.uint8
+    np.testing.assert_array_equal(bits, want_bits)
+    assert (ok, iters) == (want_ok, want_iters)
+    assert type(ok) is bool and type(iters) is int
+
+
+def test_min_sum_rejects_bad_input():
+    code = default_code()
+    with pytest.raises(ValueError):
+        kernels.min_sum_decode(np.zeros(code.codeword_len - 1), code.graph, 0.75, 5)
+    with pytest.raises(ValueError):
+        kernels.min_sum_decode(np.zeros((code.codeword_len, 2)), code.graph, 0.75, 5)
+    with pytest.raises(ValueError):
+        kernels.min_sum_decode(np.zeros(code.codeword_len), code.graph, 0.75, -1)
+
+
+def noisy_batch(code, width, seed):
+    # alternate a noise level the code corrects with one it cannot
+    cols = [noisy_llrs(code, (0.6, 1.0)[w % 2], seed + w, "noisy") for w in range(width)]
+    return np.stack(cols, axis=1)
+
+
+def test_batch_decode_equals_single_columns():
+    code = default_code()
+    llrs = noisy_batch(code, 6, 40)
+    bits, ok = code.decode(llrs)
+    for w in range(llrs.shape[1]):
+        one_bits, one_ok = code.decode(llrs[:, w])
+        np.testing.assert_array_equal(bits[:, w], one_bits)
+        assert ok[w] == one_ok
+    assert ok.any() and not ok.all()  # both outcomes are compared
+
+
+def test_concurrent_decodes_agree(monkeypatch):
+    # the C call releases the interpreter lock, so threads decode at once
+    # with their own scratch; with the decoder unloaded they also race to
+    # load it
+    code = default_code()
+    llrs = noisy_batch(code, 8, 60)
+    want = code.decode(llrs)
+    monkeypatch.setattr(kernels, "_decoder", None)
+    workers = 4  # more than the cores of a small host
+    start = threading.Barrier(workers, timeout=60)
+    results = [None] * workers
+
+    def work(slot):
+        start.wait()
+        results[slot] = code.decode(llrs)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for bits, ok in results:
+        np.testing.assert_array_equal(bits, want[0])
+        np.testing.assert_array_equal(ok, want[1])
+
+
+def test_minsum_source_compiles_cleanly(tmp_path):
+    out = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", *kernels.MINSUM_CFLAGS,
+         "-o", str(tmp_path / "minsum.so"), str(kernels.MINSUM_SOURCE)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert ctypes.CDLL(str(tmp_path / "minsum.so")).otfsim_min_sum_decode
+
+
+def test_minsum_build_is_cached(tmp_path, monkeypatch):
+    source = tmp_path / "_minsum.c"
+    shutil.copy(kernels.MINSUM_SOURCE, source)
+    monkeypatch.setattr(kernels, "MINSUM_SOURCE", source)
+    lib = kernels.minsum_library()
+    assert lib.parent == tmp_path / "__pycache__" and lib.is_file()
+    built = lib.stat().st_mtime_ns
+    assert kernels.minsum_library() == lib
+    assert lib.stat().st_mtime_ns == built  # reused, not rebuilt
+    # an edited source gets its own build next to the old one
+    source.write_text(source.read_text() + "\n")
+    edited = kernels.minsum_library()
+    assert edited != lib and edited.is_file()
+    assert sorted(p.name for p in lib.parent.iterdir()) == sorted([lib.name, edited.name])
+
+
+def test_minsum_build_failure_is_reported(tmp_path, monkeypatch):
+    source = tmp_path / "_minsum.c"
+    source.write_text("this is not C\n")
+    monkeypatch.setattr(kernels, "MINSUM_SOURCE", source)
+    with pytest.raises(RuntimeError, match="_minsum.c failed"):
+        kernels.minsum_library()
+    monkeypatch.setenv("PATH", str(tmp_path))
+    with pytest.raises(RuntimeError, match="C compiler"):
+        kernels.minsum_library()
+    assert list((tmp_path / "__pycache__").iterdir()) == []  # no partial library
