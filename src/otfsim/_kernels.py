@@ -59,7 +59,8 @@ def minsum_library() -> Path:
     """Path of the compiled decoder, built now unless a build exists.
 
     The file name carries a hash of the source and the flags, so an
-    edited kernel gets a fresh build.  The compiler writes a temporary
+    edited kernel gets a fresh build, and the builds of other versions
+    are removed once it is in place.  The compiler writes a temporary
     file that is renamed into place, so processes that build at once
     each leave a complete library.
     """
@@ -85,6 +86,9 @@ def minsum_library() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in path.parent.glob("_minsum-*.so"):
+        if stale != path:
+            stale.unlink(missing_ok=True)  # a concurrent build may remove it first
     return path
 
 

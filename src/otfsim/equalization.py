@@ -10,8 +10,12 @@ and per-symbol output noise sigma^2(eta) = sigma_n^2 times the squared
 row norms of the combining matrix.  Since A is unitary, G G^H equals
 H_hat H_hat^H, the sparse cyclic band that the channel module builds
 from its few delay taps.  One sparse LU factor of G G^H + rho I serves
-the payload solve and the variances: exact column norms on frames up to
-``EXACT_VARIANCE_LIMIT`` samples, seeded random sign probes beyond.
+the payload solve and the variances.  Up to ``EXACT_VARIANCE_LIMIT``
+samples the variances are exact: an estimate with one distinct delay
+(every desk-scale channel) makes G G^H + rho I diagonal, and the column
+norms reduce to per-sample powers pooled into grid cells in O(MN); more
+delays take the dense column norms.  Beyond the limit seeded random sign
+probes estimate them.
 
 The narrowband-OFDM waveform uses per-cell division by the estimated
 gain with effective noise sigma_v^2 / |h|^2; cells whose estimate sits
@@ -36,8 +40,9 @@ from .transforms import GridTransform
 VAR_FLOOR = 1e-30
 # |estimate| below this flags the cell as an erasure
 FADE_FLOOR = 1e-12
-# exact variances solve against the dense n-by-n H: a complex array of
-# 16 n^2 bytes, 64 MB at n = 2048 and 268 MB at 4096; beyond, probes
+# exact variances of a multi-delay estimate solve against the dense
+# n-by-n H: a complex array of 16 n^2 bytes, 64 MB at n = 2048 and 268 MB
+# at 4096; a single-delay estimate needs O(n); beyond, probes for both
 EXACT_VARIANCE_LIMIT = 2048
 # an LU pivot this far below the largest marks the system singular
 SINGULAR_PIVOT_RATIO = 1e-12
@@ -115,6 +120,21 @@ def _exact_noise_vars(
     return np.maximum(noise_var * col_norms_sq, VAR_FLOOR)
 
 
+def _diagonal_noise_vars(
+    ch: ChannelRealization, transform: GridTransform, lu, noise_var: float
+) -> np.ndarray:
+    """Exact variances when H has one distinct delay, in O(n).
+
+    Then H H^H + rho I is diagonal, so (H H^H + rho I)^{-1} H has the
+    entries d_u H_ui with d the factored system's solve of the all-ones
+    vector (ridge included), and its squared column norms after A are
+    (|A|^2)^T q with q_i = sum_u |d_u H_ui|^2.
+    """
+    d_sq = np.abs(lu.solve(np.ones(ch.block_len, dtype=complex))) ** 2
+    q = abs(ch.matrix).power(2).T @ d_sq
+    return np.maximum(noise_var * transform.adjoint_power(q), VAR_FLOOR)
+
+
 def _probe_noise_vars(
     ch: ChannelRealization,
     transform: GridTransform,
@@ -153,8 +173,9 @@ def lmmse_equalize(
     """Whole-frame linear MMSE equalization against a tap-set estimate.
 
     Per-symbol variances are exact up to ``EXACT_VARIANCE_LIMIT``
-    samples and estimated with ``variance_probes`` random sign probes,
-    drawn from ``probe_seed``, beyond.
+    samples, in closed form when the estimate has one distinct delay,
+    and estimated with ``variance_probes`` random sign probes, drawn
+    from ``probe_seed``, beyond.
     """
     r_body = np.asarray(r_body, dtype=complex).ravel()
     n = transform.size
@@ -168,12 +189,14 @@ def lmmse_equalize(
         raise ValueError("noise variance must be non-negative")
 
     lu = _factor(ch, noise_var / data_var)
-    if n <= EXACT_VARIANCE_LIMIT:
-        noise_vars = _exact_noise_vars(ch, transform, lu, noise_var)
-    else:
+    if n > EXACT_VARIANCE_LIMIT:
         noise_vars = _probe_noise_vars(
             ch, transform, lu, noise_var, variance_probes, probe_seed
         )
+    elif np.unique(ch.delay_bins % n).size == 1:
+        noise_vars = _diagonal_noise_vars(ch, transform, lu, noise_var)
+    else:
+        noise_vars = _exact_noise_vars(ch, transform, lu, noise_var)
     symbols = transform.adjoint(chan.apply_channel_operator_adjoint(ch, lu.solve(r_body)))
     return EqualizedFrame(symbols, noise_vars)
 

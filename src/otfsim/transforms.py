@@ -71,8 +71,9 @@ class GridTransform:
     ``kind`` selects the delay-Doppler map (``"otfs"``) or the block-OFDM
     map (``"block_ofdm"``); both act on column-major vectorized M-by-N
     grids.  ``apply``/``adjoint`` work matrix-free on batches of column
-    vectors, ``dense`` materializes the M*N square matrix for small
-    problems and cross-checks.
+    vectors, ``adjoint_power`` pools per-sample powers into grid cells,
+    and ``dense`` materializes the M*N square matrix for small problems
+    and cross-checks.
     """
 
     num_delay_bins: int
@@ -116,6 +117,21 @@ class GridTransform:
             sym = np.fft.fft(v.reshape(n, m, k, order="F"), axis=0, norm="ortho")
             out = sym.transpose(1, 0, 2).reshape(m * n, k, order="F")
         return out[:, 0] if squeeze else out
+
+    def adjoint_power(self, q: np.ndarray) -> np.ndarray:
+        """``(|A|^2)^T q``: per-sample powers pooled into grid cells.
+
+        Column ``m + M k`` of A holds N entries of magnitude 1/sqrt(N),
+        at the samples of delay row m (``n M + m`` for OTFS, ``m N + n``
+        for block OFDM), so each cell gets the mean of its row's powers.
+        """
+        q = np.asarray(q, dtype=float).ravel()
+        m, n = self.num_delay_bins, self.num_doppler_bins
+        if self.kind == "otfs":
+            rows = q.reshape(m, n, order="F").mean(axis=1)
+        else:
+            rows = q.reshape(n, m, order="F").mean(axis=0)
+        return np.tile(rows, n)
 
     def dense(self) -> np.ndarray:
         """The transform as an explicit unitary M*N square matrix."""

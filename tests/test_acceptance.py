@@ -385,6 +385,7 @@ def test_criterion_8_bler_ordering():
 def test_criterion_9_lmmse_correctness():
     rng = np.random.default_rng(109)
     worst_small = 0.0
+    multi_delay = 0
     for _ in range(20):
         m, n = 8, 8
         taps = tuple(
@@ -396,6 +397,9 @@ def test_criterion_9_lmmse_correctness():
             for _ in range(3)
         )
         ch = ChannelRealization(taps, m, n)
+        # two or more delays take the dense variance path, one delay the
+        # closed form; these draws cover both
+        multi_delay += len(set(ch.delay_bins.tolist())) >= 2
         t = GridTransform(m, n, "otfs")
         r = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
         nv = 10 ** rng.uniform(-3, 0)
@@ -417,6 +421,7 @@ def test_criterion_9_lmmse_correctness():
     g = build_channel_matrix(ch) @ t.dense()
     w = g.conj().T @ np.linalg.inv(g @ g.conj().T + 0.05 * np.eye(1024))
     desk_err = np.abs(out.symbols - w @ r).max()
+    assert 0 < multi_delay < 20, f"{multi_delay} of 20 draws have two or more delays"
     ok = worst_small < 1e-8 and desk_err < 1e-6
     report(
         9, ok,

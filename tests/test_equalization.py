@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
+from otfsim import equalization
 from otfsim.channel import (
     ChannelRealization,
     PathTap,
     apply_channel_operator,
     build_channel_matrix,
+    load_profile,
+    sample_channel,
 )
 from otfsim.equalization import (
     EqualizedFrame,
+    _diagonal_noise_vars,
+    _exact_noise_vars,
     _factor,
     _probe_noise_vars,
     compute_llrs,
     lmmse_equalize,
     single_tap_equalize,
 )
+from otfsim.grid import desk_scale_params
 from otfsim.mapping import by_name, qpsk
 from otfsim.transforms import GridTransform
 
@@ -38,6 +44,17 @@ def explicit_mmse(h, a, noise_var, r):
     g = h @ a
     core = np.linalg.solve(g @ g.conj().T + noise_var * np.eye(g.shape[0]), r)
     return g.conj().T @ core
+
+
+def combiner_row_vars(ch, t, noise_var):
+    """noise_var times the squared row norms of the explicit combiner."""
+    g = build_channel_matrix(ch) @ t.dense()
+    w = g.conj().T @ np.linalg.inv(g @ g.conj().T + noise_var * np.eye(t.size))
+    return noise_var * np.sum(np.abs(w) ** 2, axis=1)
+
+
+def distinct_delays(ch):
+    return np.unique(ch.delay_bins % ch.block_len).size
 
 
 def test_scalar_closed_form():
@@ -71,12 +88,62 @@ def test_dense_noise_vars_match_combiner_rows():
     rng = np.random.default_rng(2)
     m, n = 8, 4
     ch = random_channel(rng, m, n)
+    assert distinct_delays(ch) >= 2  # takes the dense path
     t = GridTransform(m, n, "otfs")
     out = lmmse_equalize(np.zeros(32), ch, t, noise_var=0.2)
-    g = build_channel_matrix(ch) @ t.dense()
-    w = g.conj().T @ np.linalg.inv(g @ g.conj().T + 0.2 * np.eye(32))
-    expect = 0.2 * np.sum(np.abs(w) ** 2, axis=1)
-    np.testing.assert_allclose(out.noise_vars, expect, atol=1e-12)
+    np.testing.assert_allclose(out.noise_vars, combiner_row_vars(ch, t, 0.2), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["otfs", "block_ofdm"])
+def test_diagonal_noise_vars_match_dense_on_desk_draws(kind):
+    params = desk_scale_params()
+    profile = load_profile("tdl_a", 37e-9)
+    rng = np.random.default_rng(11)
+    t = GridTransform(params.num_delay_bins, params.num_doppler_bins, kind)
+    for _ in range(10):
+        ch = sample_channel(profile, params, 2779.7, rng)
+        assert distinct_delays(ch) == 1
+        nv = 10 ** rng.uniform(-3, 0)
+        lu = _factor(ch, nv)
+        dense = _exact_noise_vars(ch, t, lu, nv)
+        np.testing.assert_allclose(_diagonal_noise_vars(ch, t, lu, nv), dense, rtol=1e-12)
+        out = lmmse_equalize(np.zeros(t.size), ch, t, nv)
+        np.testing.assert_allclose(out.noise_vars, dense, rtol=1e-12)
+
+
+def test_single_delay_skips_the_dense_path(monkeypatch):
+    def dense_path(*args):
+        raise AssertionError("dense variances computed for a single-delay estimate")
+
+    monkeypatch.setattr(equalization, "_exact_noise_vars", dense_path)
+    ch = ChannelRealization((PathTap(0.8, 2, 1), PathTap(0.3j, 34, 0)), 8, 4)
+    out = lmmse_equalize(np.zeros(32), ch, GridTransform(8, 4, "otfs"), 0.1)
+    assert np.all(out.noise_vars > 0)
+
+
+@pytest.mark.parametrize("kind", ["otfs", "block_ofdm"])
+def test_single_nonzero_delay_matches_combiner_rows(kind):
+    # two Dopplers on delay 3: H = diag(c) P^3 with a non-constant c
+    taps = (PathTap(0.8 - 0.3j, 3, 1), PathTap(-0.4 + 0.5j, 3, -2))
+    ch = ChannelRealization(taps, 8, 4)
+    t = GridTransform(8, 4, kind)
+    out = lmmse_equalize(np.zeros(32), ch, t, noise_var=0.15)
+    np.testing.assert_allclose(
+        out.noise_vars, combiner_row_vars(ch, t, 0.15), rtol=1e-12
+    )
+    assert np.ptp(out.noise_vars) > 0.1 * out.noise_vars.max()
+
+
+def test_zero_gain_tap_gets_the_dense_floor():
+    # noiseless and zero gain: only the ridge keeps the system solvable,
+    # and every cell gets the variance floor rather than 0 / 0
+    ch = ChannelRealization((PathTap(0.0, 0, 0),), 8, 4)
+    t = GridTransform(8, 4, "otfs")
+    with pytest.warns(RuntimeWarning, match="^equalizer system singular"):
+        out = lmmse_equalize(np.ones(32), ch, t, noise_var=0.0)
+        lu = _factor(ch, 0.0)
+    assert np.all(np.isfinite(out.noise_vars))
+    np.testing.assert_array_equal(out.noise_vars, _exact_noise_vars(ch, t, lu, 0.0))
 
 
 def test_zero_forcing_limit():

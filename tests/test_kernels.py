@@ -424,11 +424,36 @@ def test_minsum_build_is_cached(tmp_path, monkeypatch):
     built = lib.stat().st_mtime_ns
     assert kernels.minsum_library() == lib
     assert lib.stat().st_mtime_ns == built  # reused, not rebuilt
-    # an edited source gets its own build next to the old one
+    # an edited source gets its own build, which replaces the old one
     source.write_text(source.read_text() + "\n")
     edited = kernels.minsum_library()
     assert edited != lib and edited.is_file()
-    assert sorted(p.name for p in lib.parent.iterdir()) == sorted([lib.name, edited.name])
+    assert [p.name for p in lib.parent.iterdir()] == [edited.name]
+
+
+def test_minsum_build_removes_only_stale_libraries(tmp_path, monkeypatch):
+    source = tmp_path / "_minsum.c"
+    shutil.copy(kernels.MINSUM_SOURCE, source)
+    monkeypatch.setattr(kernels, "MINSUM_SOURCE", source)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = cache / "_minsum-0123456789abcdef.so"
+    in_flight = cache / "_minsum-abc123.so.tmp"  # another process's build
+    other = cache / "channel.cpython.pyc"
+    for path in (stale, in_flight, other):
+        path.write_bytes(b"")
+    # a stale build that a concurrent process removes between the
+    # listing and the unlink must not fail this build
+    vanished = cache / "_minsum-fedcba9876543210.so"
+    real_glob = type(cache).glob
+    monkeypatch.setattr(
+        type(cache), "glob", lambda self, pattern: [*real_glob(self, pattern), vanished]
+    )
+    lib = kernels.minsum_library()
+    assert lib.is_file()
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [lib.name, in_flight.name, other.name]
+    )
 
 
 def test_minsum_build_failure_is_reported(tmp_path, monkeypatch):

@@ -120,6 +120,17 @@ def test_grid_transform_matches_dense(kind):
     np.testing.assert_allclose(t.adjoint(batch), a.conj().T @ batch, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["otfs", "block_ofdm"])
+def test_adjoint_power_matches_dense(kind):
+    t = GridTransform(M, N, kind)
+    q = np.random.default_rng(8).uniform(0.0, 2.0, M * N)
+    np.testing.assert_allclose(
+        t.adjoint_power(q), np.abs(t.dense()).T ** 2 @ q, rtol=1e-12
+    )
+    with pytest.raises(ValueError):
+        t.adjoint_power(q[:-1])
+
+
 def test_grid_transform_matches_modulators():
     rng = np.random.default_rng(7)
     x = random_grid(rng)
