@@ -1,13 +1,10 @@
-"""Hot numeric kernels: the causal stream channel and the min-sum decoder.
+"""The min-sum LDPC decoder's glue: build, load and call the C kernel.
 
-Each operation has one implementation.  The stream kernel is vectorized
-numpy.  The min-sum decoder is plain C (``_minsum.c``), compiled with the
-system's ``cc`` on the first decode into this package's ``__pycache__``
-and called through ``ctypes``; there is no Python fallback.  The tests
-check both kernels against scalar loops, and the decoder also against
-the numpy flooding kernel it replaced, bit for bit.  The body-length
-channel operator is the sparse matrix that
-:class:`~otfsim.channel.ChannelRealization` builds.
+The decoder is plain C (``_minsum.c``), compiled with the system's
+``cc`` on the first decode into this package's ``__pycache__`` and
+called through ``ctypes``; there is no Python fallback.  The tests
+check it against a scalar loop and against the numpy flooding kernel it
+replaced, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,27 +29,6 @@ MINSUM_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _build_lock = threading.Lock()
 _decoder = None
-
-
-def ltv_stream(samples, gains, delay_bins, phase_rates, t0):
-    """Apply the time-varying multipath response along a sample stream.
-
-    ``out[v] = sum_p gains[p] * exp(j*w_p*(v + t0 - l_p)) * samples[v - l_p]``
-    with samples before the stream start treated as zero, so a tap
-    delayed past the stream's end adds nothing.  ``t0`` places the
-    stream on the channel's absolute time axis.
-    """
-    samples = np.ascontiguousarray(samples, dtype=np.complex128)
-    out = np.zeros_like(samples)
-    n = samples.size
-    idx = np.arange(n)
-    for g, l, w in zip(gains, delay_bins, phase_rates):
-        if l >= n:
-            continue
-        delayed = np.zeros_like(samples)
-        delayed[l:] = samples[: n - l] if l else samples
-        out += g * np.exp(1j * w * (idx + t0 - l)) * delayed
-    return out
 
 
 def minsum_library() -> Path:

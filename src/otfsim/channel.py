@@ -7,15 +7,21 @@ cyclically extended frame body of ``M*N`` samples the channel is
     H = sum_p h_p * P**l_p * D**k_p,
 
 where ``P`` is the cyclic delay (one-sample shift) matrix and ``D`` the
-diagonal Doppler phase ramp ``diag(exp(j 2 pi u / (M N)))``.  Physical
-application to a transmitted stream uses the same taps as a causal
-linear time-varying convolution; after stripping a long-enough cyclic
-prefix the two agree exactly, which the tests verify.
+diagonal Doppler phase ramp ``diag(exp(j 2 pi u / (M N)))``.
 
-Grouping the taps by delay gives ``H = sum_l diag(c_l) P**l``, with one
-diagonal per distinct delay.  Each realization builds this sparse form
-once; the body-length operator, its adjoint and the Gram matrix
-``H H^H`` all use it.
+Grouping the taps by delay gives one Doppler diagonal per distinct
+delay ``l``,
+
+    c_l(t) = sum over taps with delay l of h_p exp(j w_p (t - l)),
+
+with ``w_p = 2 pi k_p / (M N)``, and ``H = sum_l diag(c_l) P**l``.
+:meth:`ChannelRealization.diagonals` is the one place that evaluates
+them.  The body-length view folds them mod ``M*N`` into a sparse ``H``,
+built once per realization; the operator, its adjoint and the Gram
+matrix ``H H^H`` use it.  The stream view applies them as a causal
+linear time-varying convolution along a transmitted stream, prefix
+included.  After stripping a long-enough cyclic prefix the two agree
+exactly, which the tests verify.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from importlib import resources
 import numpy as np
 from scipy import sparse
 
-from . import _kernels
 from .grid import FrameParams
 
 BUNDLED_PROFILES = ("tdl_a",)
@@ -140,22 +145,34 @@ class ChannelRealization:
     def max_delay_bin(self) -> int:
         return int(self.delay_bins.max(initial=0))
 
+    def diagonals(self, times: np.ndarray) -> dict[int, np.ndarray]:
+        """The Doppler diagonal of each distinct delay, sampled at ``times``.
+
+        ``c_l(t) = sum_p h_p exp(j w_p (t - l))`` over the taps with delay
+        ``l``, accumulated tap by tap in tap order.  Keys are the delays in
+        order of first appearance.
+        """
+        out: dict[int, np.ndarray] = {}
+        for g, l, w in zip(self.gains, self.delay_bins, self.phase_rates):
+            c = out.setdefault(int(l), np.zeros(times.size, dtype=complex))
+            c += g * np.exp(1j * w * (times - l))
+        return out
+
     @cached_property
     def matrix(self) -> sparse.csr_array:
         """H as a sparse matrix, built on first use and kept.
 
-        Row ``u`` holds ``c_l[u] = sum_p h_p exp(j w_p (u - l))`` over the
-        taps with delay ``l`` (mod ``M*N``), in column ``u - l`` (mod
-        ``M*N``): one non-zero per distinct delay.
+        Row ``u`` holds the diagonal ``c_l[u]`` of each delay ``l`` in
+        column ``u - l`` (mod ``M*N``); delays equal mod ``M*N`` share one
+        diagonal, so a row has one non-zero per distinct delay mod ``M*N``.
         """
         n = self.block_len
         rows = np.arange(n)
-        diagonals: dict[int, np.ndarray] = {}
-        for g, l, w in zip(self.gains, self.delay_bins, self.phase_rates):
-            c = diagonals.setdefault(int(l) % n, np.zeros(n, dtype=complex))
-            c += g * np.exp(1j * w * (rows - l))
-        delays = np.array(sorted(diagonals), dtype=np.int64)
-        data = np.array([diagonals[l] for l in delays.tolist()], dtype=complex)
+        folded: dict[int, np.ndarray] = {}
+        for l, c in self.diagonals(rows).items():
+            folded[l % n] = folded[l % n] + c if l % n in folded else c
+        delays = np.array(sorted(folded), dtype=np.int64)
+        data = np.array([folded[l] for l in delays.tolist()], dtype=complex)
         cols = (rows[None, :] - delays[:, None]) % n
         return sparse.csr_array(
             (data.ravel(), (np.tile(rows, delays.size), cols.ravel())), shape=(n, n)
@@ -276,21 +293,25 @@ def apply_channel(
 ) -> np.ndarray:
     """Send a sample stream through the channel and add receiver noise.
 
-    The multipath response is applied as a causal linear time-varying
-    convolution over the whole stream (prefix included).  The first
-    sample sits at time ``-cp_samples`` on the channel's time axis, so
-    the frame body starts at time zero, which makes the
-    post-prefix-removal result equal ``H @ body`` exactly.
+    The multipath response is a causal linear time-varying convolution
+    over the whole stream (prefix included): each delay ``l`` adds
+    ``c_l(t) * samples[v - l]`` at sample ``v``, with samples before the
+    stream start taken as zero, so a delay at or past the stream's end
+    adds nothing.  The first sample sits at time ``t = -cp_samples`` on
+    the channel's time axis, so the frame body starts at time zero,
+    which makes the post-prefix-removal result equal ``H @ body``.
 
     Noise is circular complex Gaussian with per-sample variance
     ``noise_var``; zero means noiseless.
     """
     samples = np.asarray(samples, dtype=complex).ravel()
-    if cp_samples < 0 or cp_samples >= samples.size:
+    n = samples.size
+    if cp_samples < 0 or cp_samples >= n:
         raise ValueError("prefix length outside the stream")
-    out = _kernels.ltv_stream(
-        samples, ch.gains, ch.delay_bins, ch.phase_rates, -float(cp_samples)
-    )
+    out = np.zeros(n, dtype=complex)
+    for l, c in ch.diagonals(np.arange(n) - cp_samples).items():
+        if l < n:
+            out[l:] += c[l:] * samples[: n - l]
     if noise_var:
         if rng is None:
             raise ValueError("noise requested but no generator supplied")

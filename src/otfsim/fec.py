@@ -26,26 +26,19 @@ from . import _kernels
 
 @dataclass(frozen=True)
 class LdpcGraph:
-    """Parity-check adjacency, padded per check and in CSR form.
+    """Parity-check adjacency in CSR form, edges in check-major order."""
 
-    The CSR arrays list the same edges in the same check-major order as
-    the valid padded slots; the decoder reads them.
-    """
-
-    chk_vars: np.ndarray  # (n_checks, max_degree) padded variable indices
-    chk_mask: np.ndarray  # validity of each padded slot
     check_ptr: np.ndarray  # int64 (n_checks + 1,): check c owns edges ptr[c]..ptr[c+1]-1
     edge_var: np.ndarray  # int64 (n_edges,): the variable each edge reaches
 
-    @property
-    def n_checks(self) -> int:
-        return self.chk_vars.shape[0]
-
     def syndrome_ok(self, bits: np.ndarray) -> bool:
-        """True when every check XORs to zero over the given hard bits."""
-        edge_bits = np.asarray(bits, dtype=np.uint8)[self.chk_vars]
-        per_check = np.bitwise_xor.reduce(np.where(self.chk_mask, edge_bits, 0), axis=1)
-        return not per_check.any()
+        """True when every check XORs to zero over the given hard bits.
+
+        The dual-diagonal parity part gives every check at least one
+        edge, so each ``reduceat`` segment is exactly one check's edges.
+        """
+        edge_bits = np.asarray(bits, dtype=np.uint8)[self.edge_var]
+        return not np.bitwise_xor.reduceat(edge_bits, self.check_ptr[:-1]).any()
 
 
 class LdpcCode:
@@ -121,15 +114,10 @@ class LdpcCode:
 
     def _build_graph(self) -> LdpcGraph:
         idx, mask = self._lift(self.base_matrix)
-        n_checks = idx.shape[0] * idx.shape[1]
-        chk_vars = np.where(mask, idx, 0).reshape(n_checks, -1)
-        chk_mask = mask.reshape(n_checks, -1)
-        check_ptr = np.concatenate([[0], np.cumsum(chk_mask.sum(axis=1))])
+        degrees = mask.sum(axis=2).ravel()
         return LdpcGraph(
-            chk_vars,
-            chk_mask,
-            check_ptr.astype(np.int64),
-            np.ascontiguousarray(chk_vars[chk_mask], dtype=np.int64),
+            np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64),
+            np.ascontiguousarray(idx[mask], dtype=np.int64),
         )
 
     def _encoder_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -188,15 +188,6 @@ def guard_cell_count(cfg: PilotConfig) -> int:
     return (4 * cfg.k_nu + 1) * (2 * cfg.l_tau + 1)
 
 
-def count_otfs_pilot_cells(cfg: PilotConfig) -> int:
-    """Pilot overhead: zeroed guard cells plus the impulse, minus one.
-
-    Equals ``(4 k_nu + 1)(2 l_tau + 1) - 1``, the number of cells that
-    carry no data beyond the single non-zero pilot.
-    """
-    return guard_cell_count(cfg) - 1
-
-
 @dataclass
 class DelayDopplerGrid:
     """M-by-N delay-Doppler grid: ``values[l, k]`` with roles per cell."""

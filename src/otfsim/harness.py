@@ -184,6 +184,21 @@ def trial_seed(master_seed: int, label: str, snr_idx: int, trial_idx: int) -> in
     return int.from_bytes(hashlib.sha256(tag).digest()[:16], "little")
 
 
+# what each child of a trial seed's SeedSequence drives, in spawn order
+TRIAL_STREAMS = ("channel", "payload", "noise", "probe")
+
+
+def trial_generator(seed: int, stream: str) -> np.random.Generator:
+    """The generator of one ``TRIAL_STREAMS`` entry of the trial seeded by ``seed``.
+
+    It is seeded by that stream's child of ``SeedSequence(seed)``, the
+    same child ``SeedSequence(seed).spawn(4)`` returns at its index, but
+    built alone, so a caller that needs one stream pays for one.
+    """
+    child = np.random.SeedSequence(seed, spawn_key=(TRIAL_STREAMS.index(stream),))
+    return np.random.default_rng(child)
+
+
 @dataclass(frozen=True)
 class TrialResult:
     block_errors: int
@@ -203,7 +218,6 @@ class SweepResult:
 @dataclass(frozen=True)
 class _VsbGeometry:
     n_subcarriers: int
-    n_symbols: int
     cp_len: int
     roles: np.ndarray
     data_idx: np.ndarray
@@ -257,7 +271,6 @@ class LinkSimulator:
         roles = ofdm_roles(self.params, mu)
         return _VsbGeometry(
             n_sc,
-            n_sym,
             cp_len,
             roles,
             data_cell_indices(roles),
@@ -353,8 +366,9 @@ class LinkSimulator:
         for loopback and genie experiments.
         """
         cfg = self.cfg
-        streams = np.random.SeedSequence(seed).spawn(4)
-        ch_rng, payload_rng, noise_rng, probe_rng = map(np.random.default_rng, streams)
+        ch_rng, payload_rng, noise_rng, probe_rng = (
+            trial_generator(seed, stream) for stream in TRIAL_STREAMS
+        )
         ch = channel
         if ch is None:
             ch = sample_channel(self.profile, self.params, cfg.nu_max_hz, ch_rng)
@@ -484,10 +498,7 @@ def run_papr(cfg: RunConfig, log=None) -> dict[str, SweepResult]:
         acc = PaprAccumulator(np.asarray(cfg.papr_thresholds_db))
         for t in range(cfg.papr_frames):
             seed = trial_seed(cfg.master_seed, wf.label + "|papr", 0, t)
-            payload_rng = np.random.default_rng(
-                np.random.SeedSequence(seed).spawn(4)[1]
-            )
-            _, stream, _ = sim.build_stream(wf, payload_rng)
+            _, stream, _ = sim.build_stream(wf, trial_generator(seed, "payload"))
             acc.add(papr_db(stream, cfg.papr_oversample))
         out[wf.label] = SweepResult(wf, [], acc)
         if log:

@@ -3,24 +3,23 @@
 The delay-Doppler modulator (:class:`GridTransform`) is implemented in
 its factored form: placing symbols on the M-by-N delay-Doppler grid,
 applying the inverse symplectic finite Fourier transform and then
-per-symbol IFFTs collapses to a single IDFT across the Doppler axis
-followed by column-major vectorization,
+per-symbol IFFTs collapses to a single IDFT across the Doppler axis,
 
-    s = vec(X @ W_N),        W_N = unitary N-point IDFT matrix.
+    Y = X @ W_N,        W_N = unitary N-point IDFT matrix,
 
-Equivalently ``s = (W_N kron I_M) vec(X)``: a unitary map from grid to
-time samples.  The same grid sent through per-row IDFTs instead,
+read out column by column: ``s = vec(Y) = (W_N kron I_M) vec(X)``, a
+unitary map from grid to time samples.  Read row by row instead,
 
-    s_b = vec(W_N @ X.T),
+    s_b = vec(Y.T),
 
-is a block-OFDM frame with N subcarriers and M symbols, and the two
-sample streams are related by the perfect interleaver
+the same ``Y`` is a block-OFDM frame with N subcarriers and M symbols.
+So the two waveforms share one transform and differ only in sample
+order, which is the perfect interleaver
 
     s[n * M + m] = s_b[m * N + n].
 
 One cyclic prefix covers the whole M*N-sample block in both cases.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -68,12 +67,17 @@ def remove_cp(r: np.ndarray, cp_samples: int) -> np.ndarray:
 class GridTransform:
     """Unitary grid-to-samples map used by the equalizer.
 
-    ``kind`` selects the delay-Doppler map (``"otfs"``) or the block-OFDM
-    map (``"block_ofdm"``); both act on column-major vectorized M-by-N
-    grids.  ``apply``/``adjoint`` work matrix-free on batches of column
-    vectors, ``adjoint_power`` pools per-sample powers into grid cells,
-    and ``dense`` materializes the M*N square matrix for small problems
-    and cross-checks.
+    Both kinds run the same N-point IDFT along each row of the M-by-N
+    grid (columns of the column-major vectorized grids are independent
+    inputs); ``kind`` only picks the order in which the transformed grid
+    is read out as samples.  ``"block_ofdm"`` reads it row by row (C
+    order, sample ``m N + n``): M OFDM symbols of N subcarriers.
+    ``"otfs"`` reads it column by column (F order, sample ``n M + m``),
+    which is the same frame through the perfect interleaver.
+    ``apply``/``adjoint`` work matrix-free on batches of column vectors,
+    ``adjoint_power`` pools per-sample powers into grid cells, and
+    ``dense`` materializes the M*N square matrix for small problems and
+    cross-checks.
     """
 
     num_delay_bins: int
@@ -88,6 +92,11 @@ class GridTransform:
     def size(self) -> int:
         return self.num_delay_bins * self.num_doppler_bins
 
+    @property
+    def order(self) -> str:
+        """Sample read order of the transformed grid: "F" for OTFS, "C" for block OFDM."""
+        return "F" if self.kind == "otfs" else "C"
+
     def _as_batch(self, v: np.ndarray) -> tuple[np.ndarray, bool]:
         v = np.asarray(v, dtype=complex)
         if v.ndim == 1:
@@ -98,40 +107,28 @@ class GridTransform:
         """Grid vector(s) to time samples; columns are independent."""
         v, squeeze = self._as_batch(x)
         m, n, k = self.num_delay_bins, self.num_doppler_bins, v.shape[1]
-        grids = v.reshape(m, n, k, order="F")
-        if self.kind == "otfs":
-            out = np.fft.ifft(grids, axis=1, norm="ortho").reshape(m * n, k, order="F")
-        else:
-            sym = np.fft.ifft(grids.transpose(1, 0, 2), axis=0, norm="ortho")
-            out = sym.reshape(m * n, k, order="F")
+        rows = np.fft.ifft(v.reshape(m, n, k, order="F"), axis=1, norm="ortho")
+        out = rows.reshape(m * n, k, order=self.order)
         return out[:, 0] if squeeze else out
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
         """Time samples back to grid vector(s)."""
         v, squeeze = self._as_batch(r)
         m, n, k = self.num_delay_bins, self.num_doppler_bins, v.shape[1]
-        if self.kind == "otfs":
-            grids = np.fft.fft(v.reshape(m, n, k, order="F"), axis=1, norm="ortho")
-            out = grids.reshape(m * n, k, order="F")
-        else:
-            sym = np.fft.fft(v.reshape(n, m, k, order="F"), axis=0, norm="ortho")
-            out = sym.transpose(1, 0, 2).reshape(m * n, k, order="F")
+        rows = np.fft.fft(v.reshape(m, n, k, order=self.order), axis=1, norm="ortho")
+        out = rows.reshape(m * n, k, order="F")
         return out[:, 0] if squeeze else out
 
     def adjoint_power(self, q: np.ndarray) -> np.ndarray:
         """``(|A|^2)^T q``: per-sample powers pooled into grid cells.
 
         Column ``m + M k`` of A holds N entries of magnitude 1/sqrt(N),
-        at the samples of delay row m (``n M + m`` for OTFS, ``m N + n``
-        for block OFDM), so each cell gets the mean of its row's powers.
+        at the samples of delay row m, so each cell gets the mean of its
+        row's powers.
         """
         q = np.asarray(q, dtype=float).ravel()
         m, n = self.num_delay_bins, self.num_doppler_bins
-        if self.kind == "otfs":
-            rows = q.reshape(m, n, order="F").mean(axis=1)
-        else:
-            rows = q.reshape(n, m, order="F").mean(axis=0)
-        return np.tile(rows, n)
+        return np.tile(q.reshape(m, n, order=self.order).mean(axis=1), n)
 
     def dense(self) -> np.ndarray:
         """The transform as an explicit unitary M*N square matrix."""

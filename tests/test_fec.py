@@ -85,6 +85,31 @@ def test_encode_matches_oracle(code, n_msgs, seed):
         assert code.graph.syndrome_ok(cw)
 
 
+def dense_parity_checks(code):
+    """The parity-check matrix, one circulant block of the base matrix at a time."""
+    hb, z = code.base_matrix, code.lifting
+    h = np.zeros((hb.shape[0] * z, hb.shape[1] * z), dtype=np.int64)
+    e = np.arange(z)
+    for i, j in zip(*np.nonzero(hb >= 0)):
+        h[i * z + e, j * z + (e + hb[i, j]) % z] = 1
+    return h
+
+
+@pytest.mark.parametrize("code", [CODE, SMALL_CODE], ids=["n1944", "small"])
+def test_syndrome_matches_dense_parity_checks(code):
+    h = dense_parity_checks(code)
+    rng = np.random.default_rng(5)
+    cw = code.encode(rng.integers(0, 2, code.message_len))
+    words = [cw, rng.integers(0, 2, code.codeword_len)]
+    for bit in rng.choice(code.codeword_len, min(code.codeword_len, 40), replace=False):
+        flipped = cw.copy()
+        flipped[bit] ^= 1
+        words.append(flipped)
+    for word in words:
+        assert code.graph.syndrome_ok(word) == (not (h @ word % 2).any())
+    assert code.graph.syndrome_ok(cw)
+
+
 def test_single_bit_flip_breaks_and_decodes():
     rng = np.random.default_rng(1)
     msg = rng.integers(0, 2, CODE.message_len)

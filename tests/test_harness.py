@@ -8,12 +8,14 @@ import pytest
 
 from otfsim.channel import identity_channel
 from otfsim.harness import (
+    TRIAL_STREAMS,
     LinkSimulator,
     RunConfig,
     WaveformSpec,
     load_config,
     run_papr,
     run_sweep,
+    trial_generator,
     trial_seed,
     write_bler_csv,
     write_meta,
@@ -64,6 +66,16 @@ def test_trial_seed_properties():
     }
     assert a not in others and len(others) == 4
     assert 0 <= a < 1 << 128
+
+
+def test_trial_generators_follow_the_spawn_layout():
+    # stream i draws from child i of the trial seed's SeedSequence
+    seed = trial_seed(1, "otfs", 0, 0)
+    children = np.random.SeedSequence(seed).spawn(len(TRIAL_STREAMS))
+    for stream, child in zip(TRIAL_STREAMS, children):
+        np.testing.assert_array_equal(
+            trial_generator(seed, stream).random(8), np.random.default_rng(child).random(8)
+        )
 
 
 def test_config_round_trip_and_hash():

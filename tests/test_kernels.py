@@ -14,11 +14,13 @@ from otfsim import _kernels as kernels
 from otfsim.channel import (
     ChannelRealization,
     PathTap,
+    apply_channel,
     apply_channel_operator,
     apply_channel_operator_adjoint,
     build_channel_matrix,
 )
 from otfsim.fec import default_code
+from otfsim.transforms import add_cp, remove_cp
 
 # the same draws on every run: a fixed seed and no replay of saved examples
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -74,7 +76,10 @@ def test_tap_kernels_match_dense_matrix(ch, data):
 
 
 def ltv_stream_loop(samples, gains, delay_bins, phase_rates, t0):
-    """Scalar oracle for :func:`otfsim._kernels.ltv_stream`."""
+    """Scalar oracle for the stream channel of :func:`otfsim.channel.apply_channel`.
+
+    Tap by tap and sample by sample; ``t0`` is the stream start's time.
+    """
     out = np.zeros_like(samples)
     n = samples.size
     for p in range(gains.size):
@@ -94,10 +99,8 @@ def test_ltv_stream_matches_scalar_loop(ch, data):
     # delays reach past the stream's end, where a tap adds nothing
     cp = data.draw(st.integers(0, ch.block_len - 1))
     stream = complex_vector(data.draw, cp + ch.block_len)
-    args = (ch.gains, ch.delay_bins, ch.phase_rates, -float(cp))
-    np.testing.assert_allclose(
-        kernels.ltv_stream(stream, *args), ltv_stream_loop(stream, *args), atol=1e-11
-    )
+    want = ltv_stream_loop(stream, ch.gains, ch.delay_bins, ch.phase_rates, -float(cp))
+    np.testing.assert_allclose(apply_channel(stream, ch, cp_samples=cp), want, atol=1e-11)
 
 
 # the case ids are the names the two cases were tracked under when the
@@ -123,31 +126,64 @@ def test_ltv_stream_zero_history():
     # samples before the stream start are zero, so a pure delay shifts
     # and zero-fills rather than wrapping
     s = np.arange(1.0, 9.0).astype(complex)
-    out = kernels.ltv_stream(s, np.array([1.0 + 0j]), np.array([2]), np.array([0.0]), 0.0)
+    ch = ChannelRealization((PathTap(1.0, 2, 0),), 8, 1)
+    out = apply_channel(s, ch)
     np.testing.assert_array_equal(out[:2], 0.0)
     np.testing.assert_array_equal(out[2:], s[:-2])
     # the body-length operator on the same input wraps cyclically instead
-    wrapped = apply_channel_operator(ChannelRealization((PathTap(1.0, 2, 0),), 8, 1), s)
-    np.testing.assert_array_equal(wrapped, np.roll(s, 2))
+    np.testing.assert_array_equal(apply_channel_operator(ch, s), np.roll(s, 2))
+    # a delay at or past the stream's end adds nothing
+    for delay in (8, 9, 20):
+        late = ChannelRealization((PathTap(1.0, 1, 0), PathTap(1.0, delay, 0)), 8, 1)
+        np.testing.assert_array_equal(apply_channel(s, late), np.concatenate([[0], s[:-1]]))
 
 
-def _min_sum_numpy(llr, graph, alpha, max_iters):
+def test_stream_body_equals_matrix_for_one_shared_delay():
+    # several Dopplers on one delay: after prefix removal the stream
+    # channel multiplies each body sample by the same summed diagonal
+    # entry that H holds, to the last bit
+    rng = np.random.default_rng(7)
+    m, n, cp = 16, 8, 5
+    gains = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    ch = ChannelRealization(
+        tuple(PathTap(g, 3, k) for g, k in zip(gains, (-3, -1, 2, 4))), m, n
+    )
+    body = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
+    rx = remove_cp(apply_channel(add_cp(body, cp), ch, cp_samples=cp), cp)
+    h = ch.matrix
+    np.testing.assert_array_equal(h.indptr, np.arange(m * n + 1))  # one entry a row
+    # H @ body formed with numpy's product: scipy's sparse product may
+    # round differently where numpy fuses multiply and add
+    np.testing.assert_array_equal(rx, h.data * body[h.indices])
+    np.testing.assert_allclose(rx, h @ body, rtol=0, atol=1e-14)
+
+
+def padded_checks(code):
+    """The parity checks as padded per-check variable lists and slot mask,
+    lifted from the base matrix apart from the graph's CSR arrays."""
+    idx, mask = code._lift(code.base_matrix)
+    n_checks = idx.shape[0] * idx.shape[1]
+    return np.where(mask, idx, 0).reshape(n_checks, -1), mask.reshape(n_checks, -1)
+
+
+def _min_sum_numpy(llr, code, alpha, max_iters):
     """Numpy oracle for :func:`otfsim._kernels.min_sum_decode`.
 
     The flooding kernel the package ran before the C decoder, vectorized
-    over the padded parity-check adjacency (``chk_vars``/``chk_mask``).
+    over the padded parity-check adjacency (:func:`padded_checks`).
     """
     llr = np.ascontiguousarray(llr, dtype=np.float64)
     alpha = float(alpha)
     max_iters = int(max_iters)
-    chk_vars, chk_mask = graph.chk_vars, graph.chk_mask
+    chk_vars, chk_mask = padded_checks(code)
     n_vars = llr.size
     c2v = np.zeros(chk_vars.shape)
     total = llr.copy()
 
     def hard_and_ok(total):
         hard = (total <= 0.0).astype(np.uint8)
-        return hard, graph.syndrome_ok(hard)
+        syndrome = np.bitwise_xor.reduce(np.where(chk_mask, hard[chk_vars], 0), axis=1)
+        return hard, not syndrome.any()
 
     hard, ok = hard_and_ok(total)
     if ok:
@@ -258,8 +294,9 @@ def _min_sum_loop(llr, check_ptr, edge_var, alpha, max_iters):
 def test_min_sum_matches_scalar_loop():
     code = default_code()
     graph = code.graph
-    check_ptr = np.concatenate([[0], np.cumsum(graph.chk_mask.sum(axis=1))])
-    edge_var = graph.chk_vars[graph.chk_mask]
+    chk_vars, chk_mask = padded_checks(code)
+    check_ptr = np.concatenate([[0], np.cumsum(chk_mask.sum(axis=1))])
+    edge_var = chk_vars[chk_mask]
     rng = np.random.default_rng(2)
     for sigma in (0.5, 0.8, 1.1):
         cw = code.encode(rng.integers(0, 2, code.message_len))
@@ -296,11 +333,12 @@ def test_min_sum_counts_iterations():
 def test_graph_csr_lists_the_padded_edges():
     for code in (default_code(), SMALL_CODE):
         graph = code.graph
+        chk_vars, chk_mask = padded_checks(code)
         assert graph.check_ptr.dtype == graph.edge_var.dtype == np.int64
         np.testing.assert_array_equal(
-            graph.check_ptr, np.concatenate([[0], np.cumsum(graph.chk_mask.sum(axis=1))])
+            graph.check_ptr, np.concatenate([[0], np.cumsum(chk_mask.sum(axis=1))])
         )
-        np.testing.assert_array_equal(graph.edge_var, graph.chk_vars[graph.chk_mask])
+        np.testing.assert_array_equal(graph.edge_var, chk_vars[chk_mask])
 
 
 def noisy_llrs(code, sigma, seed, kind):
@@ -338,7 +376,7 @@ def test_min_sum_matches_numpy_kernel(code, sigma, seed, kind, max_iters):
     llr = noisy_llrs(code, sigma, seed, kind)
     bits, ok, iters = kernels.min_sum_decode(llr, code.graph, 0.75, max_iters)
     with np.errstate(invalid="ignore", over="ignore"):
-        want_bits, want_ok, want_iters = _min_sum_numpy(llr, code.graph, 0.75, max_iters)
+        want_bits, want_ok, want_iters = _min_sum_numpy(llr, code, 0.75, max_iters)
     assert bits.dtype == np.uint8
     np.testing.assert_array_equal(bits, want_bits)
     assert (ok, iters) == (want_ok, want_iters)
