@@ -24,11 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="BLER sweep over the configured SNR grid")
     _add_config(run)
     run.add_argument("--threads", type=int, default=1, help="worker threads")
-    run.add_argument(
-        "--full-scale",
-        action="store_true",
-        help="override the frame geometry with the 512x128 full-scale grid",
-    )
 
     papr = sub.add_parser("papr", help="transmit-only PAPR CCDF measurement")
     _add_config(papr)
@@ -46,8 +41,6 @@ def _emit(line: str) -> None:
 
 def cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
-    if args.full_scale:
-        cfg = cfg.with_full_scale_frame()
     results = harness.run_sweep(cfg, threads=args.threads, log=_emit)
     os.makedirs(args.out, exist_ok=True)
     harness.write_bler_csv(os.path.join(args.out, "bler.csv"), results)

@@ -166,13 +166,12 @@ def lmmse_equalize(
     ch: ChannelRealization,
     transform: GridTransform,
     noise_var: float,
-    data_var: float = 1.0,
     variance_probes: int = 8,
     probe_seed: int = 0,
 ) -> EqualizedFrame:
     """Whole-frame linear MMSE equalization against a tap-set estimate.
 
-    Per-symbol variances are exact up to ``EXACT_VARIANCE_LIMIT``
+    The data symbols are taken to have unit power.  Per-symbol variances are exact up to ``EXACT_VARIANCE_LIMIT``
     samples, in closed form when the estimate has one distinct delay,
     and estimated with ``variance_probes`` random sign probes, drawn
     from ``probe_seed``, beyond.
@@ -183,12 +182,10 @@ def lmmse_equalize(
         raise ValueError(f"expected {n} samples, got {r_body.size}")
     if ch.block_len != n:
         raise ValueError("channel and transform describe different frame sizes")
-    if data_var <= 0:
-        raise ValueError("data symbol power must be positive")
     if noise_var < 0:
         raise ValueError("noise variance must be non-negative")
 
-    lu = _factor(ch, noise_var / data_var)
+    lu = _factor(ch, noise_var)
     if n > EXACT_VARIANCE_LIMIT:
         noise_vars = _probe_noise_vars(
             ch, transform, lu, noise_var, variance_probes, probe_seed

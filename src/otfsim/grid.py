@@ -1,9 +1,13 @@
 """Frame parameters and resource-grid construction.
 
-Two grids are used throughout: a delay-Doppler grid (M delay rows by
-N Doppler columns) carrying data plus an embedded impulse pilot, and a
-time-frequency grid for the narrowband-OFDM reference waveform carrying
-data plus scattered reference symbols on a resource-block lattice.
+Two frame layouts are used throughout: a delay-Doppler grid (M delay
+rows by N Doppler columns) carrying data plus an embedded impulse pilot,
+and a time-frequency grid for the narrowband-OFDM reference waveform
+carrying data plus scattered reference symbols on a resource-block
+lattice.  Each layout is one read-only role map per geometry
+(``otfs_roles``, ``ofdm_roles``), built once and shared; a placed frame
+is just its complex value grid over that map, and the data cells are
+read back with ``data_cell_indices``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ CELL_UNUSED = 4  # outside any resource block
 PRB_SUBCARRIERS = 12
 PRB_SYMBOLS = 14
 PRB_RS_PATTERN = ((0, 0), (6, 0), (3, 4), (9, 4), (0, 7), (6, 7), (3, 11), (9, 11))
-PRB_DATA_CELLS = PRB_SUBCARRIERS * PRB_SYMBOLS - len(PRB_RS_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -188,45 +191,15 @@ def guard_cell_count(cfg: PilotConfig) -> int:
     return (4 * cfg.k_nu + 1) * (2 * cfg.l_tau + 1)
 
 
-@dataclass
-class DelayDopplerGrid:
-    """M-by-N delay-Doppler grid: ``values[l, k]`` with roles per cell."""
-
-    values: np.ndarray
-    roles: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.roles.shape or self.values.ndim != 2:
-            raise ValueError("values and roles must share one 2-D shape")
-
-    @property
-    def num_delay_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_doppler_bins(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
-class TimeFrequencyGrid:
-    """Subcarrier-by-symbol grid: ``values[m, n]`` with roles per cell."""
-
-    values: np.ndarray
-    roles: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.roles.shape or self.values.ndim != 2:
-            raise ValueError("values and roles must share one 2-D shape")
-
-
+@functools.lru_cache(maxsize=16)
 def otfs_roles(params: FrameParams, cfg: PilotConfig) -> np.ndarray:
     """Role map for the delay-Doppler frame.
 
     The guard spans ``k_p +- 2 k_nu`` in Doppler but only ``l_p +- l_tau``
     in delay: received pilot energy appears at Doppler offsets up to
     ``2 k_nu`` (two-sided spread convolved with the read-out window) while
-    delay spread is one-sided.
+    delay spread is one-sided.  Built once per geometry and shared, so
+    the array is read-only.
     """
     cfg.validate(params)
     roles = np.full(
@@ -236,6 +209,7 @@ def otfs_roles(params: FrameParams, cfg: PilotConfig) -> np.ndarray:
     k_span = slice(cfg.k_p - 2 * cfg.k_nu, cfg.k_p + 2 * cfg.k_nu + 1)
     roles[l_span, k_span] = CELL_GUARD
     roles[cfg.l_p, cfg.k_p] = CELL_PILOT
+    roles.flags.writeable = False
     return roles
 
 
@@ -245,17 +219,13 @@ def data_cell_indices(roles: np.ndarray) -> np.ndarray:
 
 
 def place_otfs_frame(
-    data: np.ndarray,
-    cfg: PilotConfig,
-    params: FrameParams,
-    data_power: float = 1.0,
-) -> DelayDopplerGrid:
-    """Assemble the delay-Doppler frame: data, impulse pilot, zero guard.
+    data: np.ndarray, cfg: PilotConfig, params: FrameParams
+) -> np.ndarray:
+    """Assemble the M-by-N delay-Doppler frame: data, impulse pilot, zero guard.
 
     ``data`` must hold exactly ``M*N - (4 k_nu + 1)(2 l_tau + 1)`` symbols
-    of mean power ``data_power``; they fill the data cells column-major
-    (delay fastest).  The pilot amplitude is
-    ``sqrt(data_power * 10**(boost_db / 10))``.
+    of unit mean power; they fill the data cells column-major (delay
+    fastest).  The pilot amplitude is ``10**(boost_db / 20)``.
     """
     roles = otfs_roles(params, cfg)
     idx = data_cell_indices(roles)
@@ -265,16 +235,8 @@ def place_otfs_frame(
     flat = np.zeros(roles.size, dtype=complex)
     flat[idx] = data
     values = flat.reshape(roles.shape, order="F")
-    values[cfg.l_p, cfg.k_p] = math.sqrt(data_power) * cfg.amplitude_for_unit_data
-    return DelayDopplerGrid(values, roles)
-
-
-def extract_otfs_frame(
-    values: np.ndarray, cfg: PilotConfig, params: FrameParams
-) -> np.ndarray:
-    """Read the data cells back out of a (possibly equalized) grid."""
-    roles = otfs_roles(params, cfg)
-    return values.ravel(order="F")[data_cell_indices(roles)]
+    values[cfg.l_p, cfg.k_p] = cfg.amplitude_for_unit_data
+    return values
 
 
 def _prb_origins(n_sc: int, n_sym: int):
@@ -305,8 +267,8 @@ def place_ofdm_frame(
     rs_symbols: np.ndarray,
     params: FrameParams,
     mu: int,
-) -> TimeFrequencyGrid:
-    """Assemble the OFDM frame from data and reference symbols.
+) -> np.ndarray:
+    """Assemble the subcarrier-by-symbol OFDM frame from data and references.
 
     ``data`` must hold ``160 * num_prb`` symbols and ``rs_symbols``
     ``8 * num_prb`` unit-magnitude references.  Both fill their cells
@@ -314,31 +276,21 @@ def place_ofdm_frame(
     cells outside any whole resource block stay zero.
     """
     roles = ofdm_roles(params, mu)
-    n_blocks = num_prb(params, mu)
-    data = np.asarray(data, dtype=complex).ravel()
-    rs_symbols = np.asarray(rs_symbols, dtype=complex).ravel()
-    if data.size != PRB_DATA_CELLS * n_blocks:
-        raise ValueError(
-            f"expected {PRB_DATA_CELLS * n_blocks} data symbols, got {data.size}"
-        )
-    if rs_symbols.size != len(PRB_RS_PATTERN) * n_blocks:
-        raise ValueError(
-            f"expected {len(PRB_RS_PATTERN) * n_blocks} reference symbols,"
-            f" got {rs_symbols.size}"
-        )
-    values = np.zeros(roles.shape, dtype=complex)
     flat_roles = roles.ravel(order="F")
-    flat = values.ravel(order="F")
-    flat[flat_roles == CELL_DATA] = data
-    flat[flat_roles == CELL_RS] = rs_symbols
-    values = flat.reshape(roles.shape, order="F")
-    return TimeFrequencyGrid(values, roles)
-
-
-def extract_ofdm_frame(values: np.ndarray, params: FrameParams, mu: int) -> np.ndarray:
-    """Read the data cells back out of a time-frequency grid."""
-    roles = ofdm_roles(params, mu)
-    return values.ravel(order="F")[data_cell_indices(roles)]
+    flat = np.zeros(roles.size, dtype=complex)
+    for name, symbols, role in (
+        ("data", data, CELL_DATA),
+        ("reference", rs_symbols, CELL_RS),
+    ):
+        cells = flat_roles == role
+        symbols = np.asarray(symbols, dtype=complex).ravel()
+        if symbols.size != np.count_nonzero(cells):
+            raise ValueError(
+                f"expected {np.count_nonzero(cells)} {name} symbols,"
+                f" got {symbols.size}"
+            )
+        flat[cells] = symbols
+    return flat.reshape(roles.shape, order="F")
 
 
 def equal_total_pilot_power_boost_db(params: FrameParams, mu: int = 0) -> float:

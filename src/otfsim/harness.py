@@ -26,7 +26,7 @@ import math
 import os
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import metadata
 
 import numpy as np
@@ -42,20 +42,18 @@ from .channel import (
 from .equalization import compute_llrs, lmmse_equalize, single_tap_equalize
 from .estimation import ofdm_estimate, otfs_estimate
 from .grid import (
-    PRB_RS_PATTERN,
+    CELL_RS,
     FrameParams,
     PilotConfig,
     data_cell_indices,
     derive_vsb_dims,
-    full_scale_params,
-    num_prb,
     ofdm_roles,
     otfs_roles,
     place_ofdm_frame,
     place_otfs_frame,
 )
 from .mapping import by_name, qpsk_symbols
-from .metrics import BlerPoint, PaprAccumulator, cp_snr_loss_db, papr_db
+from .metrics import BlerPoint, PaprAccumulator, papr_db
 from .ofdm import vsb_demodulate, vsb_modulate
 from .transforms import GridTransform, add_cp, interleave, remove_cp
 
@@ -116,6 +114,10 @@ class RunConfig:
     papr_thresholds_db: tuple = tuple(np.arange(3.0, 12.5, 0.5))
     papr_oversample: int = 1
 
+    def __post_init__(self):
+        if self.trials_per_point < 1 or self.chunk_size < 1:
+            raise ValueError("trials_per_point and chunk_size must be at least 1")
+
     @property
     def frame(self) -> FrameParams:
         return FrameParams(
@@ -160,17 +162,6 @@ class RunConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-    def with_full_scale_frame(self) -> "RunConfig":
-        params = full_scale_params()
-        return replace(
-            self,
-            num_delay_bins=params.num_delay_bins,
-            num_doppler_bins=params.num_doppler_bins,
-            subcarrier_spacing_hz=params.subcarrier_spacing_hz,
-            cp_duration_s=params.cp_duration_s,
-            carrier_freq_hz=params.carrier_freq_hz,
-        )
 
 
 def load_config(path: str) -> RunConfig:
@@ -217,7 +208,6 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class _VsbGeometry:
-    n_subcarriers: int
     cp_len: int
     roles: np.ndarray
     data_idx: np.ndarray
@@ -262,19 +252,15 @@ class LinkSimulator:
 
     def _vsb_geometry(self, mu: int) -> _VsbGeometry:
         n_sc, n_sym, cp_len = derive_vsb_dims(self.params, mu)
-        n_blocks = num_prb(self.params, mu)
-        if n_blocks == 0:
+        roles = ofdm_roles(self.params, mu)
+        data_idx = data_cell_indices(roles)
+        if data_idx.size == 0:
             raise ValueError(
                 f"numerology {mu} leaves no whole resource block on a "
                 f"{n_sc}x{n_sym} grid"
             )
-        roles = ofdm_roles(self.params, mu)
         return _VsbGeometry(
-            n_sc,
-            cp_len,
-            roles,
-            data_cell_indices(roles),
-            len(PRB_RS_PATTERN) * n_blocks,
+            cp_len, roles, data_idx, int(np.count_nonzero(roles == CELL_RS))
         )
 
     # ---------------------------------------------------------------- payload
@@ -322,10 +308,10 @@ class LinkSimulator:
             msg, data = self._draw_payload(payload_rng, geom.data_idx.size)
             rs = qpsk_symbols(geom.n_rs, payload_rng)
             grid = place_ofdm_frame(data, rs, self.params, wf.mu)
-            return msg, vsb_modulate(grid.values, self.params, wf.mu), rs
+            return msg, vsb_modulate(grid, self.params, wf.mu), rs
         msg, data = self._draw_payload(payload_rng, self.dd_data_idx.size)
         grid = place_otfs_frame(data, self.pilot, self.params)
-        body = self.transforms[wf.kind].apply(grid.values.ravel(order="F"))
+        body = self.transforms[wf.kind].apply(grid.ravel(order="F"))
         return msg, add_cp(body, self.params.cp_samples), None
 
     def _energy_scale(self, stream: np.ndarray) -> float:
@@ -341,15 +327,6 @@ class LinkSimulator:
         if abs(energy * scale * scale / budget - 1.0) > 1e-9:
             raise AssertionError("energy normalization drifted off budget")
         return scale
-
-    def _cp_overhead(self, wf: WaveformSpec) -> float:
-        """Whole-stream over body energy ratio implied by the prefix."""
-        if wf.kind == "vsb_ofdm":
-            geom = self.vsb[wf.mu]
-            loss_db = cp_snr_loss_db(geom.n_subcarriers, geom.cp_len)
-        else:
-            loss_db = cp_snr_loss_db(self.params.block_len, self.params.cp_samples)
-        return 10.0 ** (loss_db / 10.0)
 
     # ----------------------------------------------------------------- trial
 
@@ -378,7 +355,8 @@ class LinkSimulator:
         papr = papr_db(tx, cfg.papr_oversample)
         noise_var = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
         if cfg.adjust_cp_loss and noise_var:
-            noise_var /= self._cp_overhead(wf)
+            # whole-stream over body energy: the share the prefixes take
+            noise_var /= stream.size / self.params.block_len
         nv_eff = noise_var / (scale * scale)
 
         if wf.kind == "vsb_ofdm":
@@ -387,7 +365,7 @@ class LinkSimulator:
             y = vsb_demodulate(r / scale, self.params, wf.mu)
             rs_grid = place_ofdm_frame(
                 np.zeros(geom.data_idx.size), rs, self.params, wf.mu
-            ).values
+            )
             h_est = ofdm_estimate(y, rs_grid, geom.roles, nv_eff, geom.cp_len)
             eq = single_tap_equalize(y, h_est, nv_eff).select(geom.data_idx)
         else:

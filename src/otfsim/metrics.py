@@ -44,7 +44,7 @@ class CcdfCurve:
 
 @dataclass
 class PaprAccumulator:
-    """Counts threshold exceedances over frames; mergeable across workers."""
+    """Counts threshold exceedances over frames."""
 
     thresholds_db: np.ndarray
     exceed: np.ndarray = None
@@ -58,12 +58,6 @@ class PaprAccumulator:
     def add(self, value_db: float) -> None:
         self.exceed += value_db > self.thresholds_db
         self.frames += 1
-
-    def merge(self, other: "PaprAccumulator") -> None:
-        if not np.array_equal(self.thresholds_db, other.thresholds_db):
-            raise ValueError("threshold grids differ")
-        self.exceed += other.exceed
-        self.frames += other.frames
 
     def curve(self) -> CcdfCurve:
         if self.frames == 0:
@@ -93,24 +87,18 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, f
 
 @dataclass
 class BlerPoint:
-    """Block-error tally at one SNR point; mergeable across workers."""
+    """Block-error tally at one SNR point, added to trial by trial."""
 
     snr_db: float
     block_errors: int = 0
     blocks: int = 0
     trials: int = 0
 
-    def add(self, errors: int, blocks: int, trials: int = 1) -> None:
+    def add(self, errors: int, blocks: int) -> None:
+        """Tally one trial's codeword errors out of its ``blocks`` codewords."""
         self.block_errors += errors
         self.blocks += blocks
-        self.trials += trials
-
-    def merge(self, other: "BlerPoint") -> None:
-        if self.snr_db != other.snr_db:
-            raise ValueError("SNR points differ")
-        self.block_errors += other.block_errors
-        self.blocks += other.blocks
-        self.trials += other.trials
+        self.trials += 1
 
     @property
     def bler(self) -> float:

@@ -39,12 +39,6 @@ def ofdm_demodulate(
     return np.fft.fft(frames[cp_len:, :], axis=0, norm="ortho")
 
 
-def vsb_stream_len(params: FrameParams, mu: int) -> int:
-    """Total samples in one frame at numerology ``mu``, prefixes included."""
-    n_sc, n_sym, cp_len = derive_vsb_dims(params, mu)
-    return (n_sc + cp_len) * n_sym
-
-
 def vsb_modulate(grid: np.ndarray, params: FrameParams, mu: int) -> np.ndarray:
     """Modulate a numerology-``mu`` grid sized for ``params``."""
     n_sc, n_sym, cp_len = derive_vsb_dims(params, mu)

@@ -159,7 +159,7 @@ def test_criterion_4_genie_estimation_consistency():
         ch = ChannelRealization(tuple(taps), 64, 16)
         data = random_grid(rng, n_data, 1).ravel()
         grid = place_otfs_frame(data, cfg, params)
-        tx = add_cp(t.apply(grid.values.ravel(order="F")), params.cp_samples)
+        tx = add_cp(t.apply(grid.ravel(order="F")), params.cp_samples)
         r = apply_channel(tx, ch, cp_samples=params.cp_samples)
         y = t.adjoint(remove_cp(r, params.cp_samples)).reshape(64, 16, order="F")
         est = otfs_estimate(y, cfg, cfg.amplitude_for_unit_data, 0.0)

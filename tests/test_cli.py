@@ -1,0 +1,53 @@
+import json
+
+from otfsim import cli
+from otfsim.harness import (
+    RunConfig,
+    WaveformSpec,
+    run_papr,
+    run_sweep,
+    write_bler_csv,
+    write_papr_csv,
+)
+
+TINY = RunConfig(
+    waveforms=(WaveformSpec("vsb_ofdm", 0),),
+    snr_grid_db=(20.0,),
+    trials_per_point=2,
+    chunk_size=2,
+    master_seed=5,
+    papr_frames=3,
+)
+
+
+def _write_config(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY.to_dict()))
+    return str(path)
+
+
+def test_run_writes_what_the_sweep_gives(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
+    results = run_sweep(TINY)
+    write_bler_csv(tmp_path / "bler.csv", results)
+    write_papr_csv(tmp_path / "papr.csv", results)
+    for name in ("bler.csv", "papr.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["config_sha256"] == TINY.config_hash()
+
+
+def test_papr_writes_what_the_measurement_gives(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["papr", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
+    write_papr_csv(tmp_path / "papr.csv", run_papr(TINY))
+    assert (out / "papr.csv").read_bytes() == (tmp_path / "papr.csv").read_bytes()
+    assert not (out / "bler.csv").exists()
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["config_sha256"] == TINY.config_hash()
+
+
+def test_profiles_list(capsys):
+    assert cli.main(["profiles", "list"]) == 0
+    assert "tdl_a: 23 taps" in capsys.readouterr().out.splitlines()

@@ -192,8 +192,6 @@ def test_mode_and_shape_validation():
         lmmse_equalize(np.zeros(8), ch, GridTransform(4, 4, "otfs"), 0.1)
     with pytest.raises(ValueError):
         lmmse_equalize(np.zeros(8), ch, t, -0.1)
-    with pytest.raises(ValueError):
-        lmmse_equalize(np.zeros(8), ch, t, 0.1, data_var=0.0)
 
 
 def test_single_tap_division_and_noise():

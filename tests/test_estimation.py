@@ -38,7 +38,7 @@ def received_grid(cfg, ch, data=None, rng=None, noise_var=0.0):
     n_data = M * N - (4 * cfg.k_nu + 1) * (2 * cfg.l_tau + 1)
     if data is None:
         data = np.zeros(n_data, dtype=complex)
-    grid = place_otfs_frame(data, cfg, DESK).values
+    grid = place_otfs_frame(data, cfg, DESK)
     t = GridTransform(M, N, "otfs")
     tx = add_cp(t.apply(grid.ravel(order="F")), DESK.cp_samples)
     r = apply_channel(tx, ch, rng, cp_samples=DESK.cp_samples, noise_var=noise_var)
@@ -171,9 +171,9 @@ def test_ofdm_estimate_static_channel_exact():
     data = rng.standard_normal(n_data) + 1j * rng.standard_normal(n_data)
     rs = np.exp(2j * np.pi * rng.random(int(np.sum(roles == CELL_RS))))
     grid = place_ofdm_frame(data, rs, DESK, 0)
-    r = apply_channel(vsb_modulate(grid.values, DESK, 0), ch, cp_samples=5)
+    r = apply_channel(vsb_modulate(grid, DESK, 0), ch, cp_samples=5)
     y = vsb_demodulate(r, DESK, 0)
-    rs_grid = place_ofdm_frame(np.zeros(n_data), rs, DESK, 0).values
+    rs_grid = place_ofdm_frame(np.zeros(n_data), rs, DESK, 0)
     est = ofdm_estimate(y, rs_grid, roles, 0.0, num_delay_taps=5)
     truth = tf_response(ch, DESK, 0)
     used = roles != CELL_UNUSED  # cells outside whole blocks carry nothing

@@ -13,8 +13,6 @@ from otfsim.grid import (
     derive_vsb_dims,
     desk_scale_params,
     equal_total_pilot_power_boost_db,
-    extract_ofdm_frame,
-    extract_otfs_frame,
     full_scale_params,
     guard_cell_count,
     num_prb,
@@ -85,7 +83,7 @@ def test_equal_total_pilot_power_boost():
         frame = place_otfs_frame(
             np.zeros(params.block_len - guard_cell_count(cfg)), cfg, params
         )
-        assert np.sum(np.abs(frame.values) ** 2) == pytest.approx(
+        assert np.sum(np.abs(frame) ** 2) == pytest.approx(
             n_rs, rel=1e-12
         )
     with pytest.raises(ValueError):
@@ -116,6 +114,10 @@ def test_otfs_roles_and_counts():
     # guard block spans delay l_p +- l_tau and Doppler k_p +- 2 k_nu
     block = roles[cfg.l_p - 1 : cfg.l_p + 2, cfg.k_p - 6 : cfg.k_p + 7]
     assert not np.any(block == CELL_DATA)
+    # every frame of a geometry shares one read-only map
+    assert otfs_roles(DESK, PilotConfig.centered(DESK, 3, 1)) is roles
+    with pytest.raises(ValueError):
+        roles[0, 0] = CELL_GUARD
 
 
 def test_otfs_place_extract_round_trip():
@@ -123,10 +125,12 @@ def test_otfs_place_extract_round_trip():
     rng = np.random.default_rng(2)
     n_data = 64 * 16 - guard_cell_count(cfg)
     data = rng.standard_normal(n_data) + 1j * rng.standard_normal(n_data)
-    grid = place_otfs_frame(data, cfg, DESK, data_power=2.0)
-    np.testing.assert_allclose(extract_otfs_frame(grid.values, cfg, DESK), data)
-    pilot = grid.values[cfg.l_p, cfg.k_p]
-    assert abs(pilot) == pytest.approx(np.sqrt(2.0) * 10 ** (28 / 20))
+    grid = place_otfs_frame(data, cfg, DESK)
+    assert grid.shape == (64, 16)
+    idx = data_cell_indices(otfs_roles(DESK, cfg))
+    np.testing.assert_allclose(grid.ravel(order="F")[idx], data)
+    pilot = grid[cfg.l_p, cfg.k_p]
+    assert abs(pilot) == pytest.approx(10 ** (28 / 20))
     with pytest.raises(ValueError):
         place_otfs_frame(data[:-1], cfg, DESK)
 
@@ -143,14 +147,17 @@ def test_ofdm_roles_and_round_trip():
     data = rng.standard_normal(800) + 1j * rng.standard_normal(800)
     rs = np.exp(2j * np.pi * rng.random(40))
     grid = place_ofdm_frame(data, rs, DESK, 0)
-    np.testing.assert_allclose(extract_ofdm_frame(grid.values, DESK, 0), data)
-    flat = grid.values.ravel(order="F")
+    assert grid.shape == roles.shape
+    flat = grid.ravel(order="F")
+    np.testing.assert_allclose(flat[data_cell_indices(roles)], data)
     np.testing.assert_allclose(flat[roles.ravel(order="F") == CELL_RS], rs)
     assert np.all(flat[roles.ravel(order="F") == CELL_UNUSED] == 0)
     # every frame of a geometry shares one read-only map
-    assert ofdm_roles(DESK, 0) is roles and grid.roles is roles
+    assert ofdm_roles(DESK, 0) is roles
     with pytest.raises(ValueError):
         roles[0, 0] = CELL_DATA
+    with pytest.raises(ValueError):
+        place_ofdm_frame(data, rs[:-1], DESK, 0)
 
 
 def test_data_cell_indices_are_column_major():
@@ -179,4 +186,5 @@ def test_place_extract_inverse_across_guard_sizes(k_nu, l_tau):
     n_data = DESK.num_delay_bins * DESK.num_doppler_bins - guard_cell_count(cfg)
     data = rng.standard_normal(n_data) + 1j * rng.standard_normal(n_data)
     grid = place_otfs_frame(data, cfg, DESK)
-    np.testing.assert_array_equal(extract_otfs_frame(grid.values, cfg, DESK), data)
+    idx = data_cell_indices(otfs_roles(DESK, cfg))
+    np.testing.assert_array_equal(grid.ravel(order="F")[idx], data)

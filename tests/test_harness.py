@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otfsim.channel import identity_channel
+from otfsim import harness
+from otfsim.channel import apply_channel, identity_channel
 from otfsim.harness import (
     TRIAL_STREAMS,
     LinkSimulator,
@@ -95,7 +96,6 @@ def test_bundled_configs_load(tmp_path):
     assert cfg.num_delay_bins == 64 and cfg.num_doppler_bins == 16
     full = load_config("configs/full_scale.json")
     assert full.num_delay_bins == 512 and full.num_doppler_bins == 128
-    assert cfg.with_full_scale_frame().num_delay_bins == 512
 
 
 def test_nu_max_derivation():
@@ -222,15 +222,34 @@ def test_vsb_mu3_rejected_at_desk_scale():
         LinkSimulator(cfg)
 
 
-def test_adjust_cp_loss_shifts_noise_floor():
-    # with adjustment on, the effective noise drops by the prefix overhead,
-    # so a borderline frame should fail less often; just check the knob
-    # reaches the trial (same seed, same channel, different noise level)
-    base = RunConfig(waveforms=(WaveformSpec("vsb_ofdm", 0),), adjust_cp_loss=False)
-    sim_off = LinkSimulator(base)
-    sim_on = LinkSimulator(RunConfig(waveforms=(WaveformSpec("vsb_ofdm", 0),)))
-    wf = WaveformSpec("vsb_ofdm", 0)
-    overhead = sim_on._cp_overhead(wf)
-    assert overhead == pytest.approx((64 + 5) / 64)
-    assert sim_off._cp_overhead(wf) == overhead  # the ratio itself is fixed
-    assert sim_on.cfg.adjust_cp_loss and not sim_off.cfg.adjust_cp_loss
+def test_adjust_cp_loss_shifts_noise_floor(monkeypatch):
+    # the knob reaches the trial: same seed, and the noise the channel adds
+    # is lower by exactly the whole-stream over body sample ratio
+    seen = []
+
+    def spy(tx, ch, rng, cp_samples, noise_var):
+        seen.append(noise_var)
+        return apply_channel(tx, ch, rng, cp_samples=cp_samples, noise_var=noise_var)
+
+    monkeypatch.setattr(harness, "apply_channel", spy)
+    for wf, overhead in (
+        (WaveformSpec("vsb_ofdm", 0), 69 / 64),
+        (WaveformSpec("otfs"), 1029 / 1024),
+    ):
+        seen.clear()
+        for adjust in (False, True):
+            sim = LinkSimulator(RunConfig(waveforms=(wf,), adjust_cp_loss=adjust))
+            sim.run_trial(wf, 10.0, trial_seed(1, wf.label, 0, 0))
+        off, on = seen
+        assert off == 10.0 ** (-10.0 / 10.0)
+        assert off / on == pytest.approx(overhead, rel=1e-12)
+
+
+@pytest.mark.parametrize("key", ["trials_per_point", "chunk_size"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_run_config_rejects_non_positive_trial_counts(key, value):
+    with pytest.raises(ValueError):
+        RunConfig(**{key: value})
+    with pytest.raises(ValueError):
+        RunConfig.from_dict({**VSB_SWEEP.to_dict(), key: value})
+    assert replace(VSB_SWEEP, **{key: 1}).to_dict()[key] == 1

@@ -59,6 +59,8 @@ def test_ccdf_from_known_values():
     acc2 = PaprAccumulator(np.array([4.0]))
     acc2.add(4.0)
     np.testing.assert_allclose(acc2.curve().ccdf, [0.0])
+    with pytest.raises(ValueError):
+        PaprAccumulator(np.array([4.0])).curve()
 
 
 def test_ccdf_monotone_non_increasing():
@@ -71,35 +73,6 @@ def test_ccdf_monotone_non_increasing():
     ccdf = acc.curve().ccdf
     assert np.all(np.diff(ccdf) <= 0)
     assert 0.0 <= ccdf[-1] <= ccdf[0] <= 1.0
-
-
-def test_accumulator_merge_is_associative():
-    rng = np.random.default_rng(4)
-    grid = np.linspace(2.0, 10.0, 9)
-    samples = rng.uniform(0.0, 12.0, 90)
-
-    def filled(chunk):
-        acc = PaprAccumulator(grid)
-        for v in chunk:
-            acc.add(v)
-        return acc
-
-    a, b, c = filled(samples[:30]), filled(samples[30:60]), filled(samples[60:])
-    left = filled(samples[:30])
-    left.merge(b)
-    left.merge(c)
-    bc = filled(samples[30:60])
-    bc.merge(c)
-    right = filled(samples[:30])
-    right.merge(bc)
-    whole = filled(samples)
-    for acc in (left, right):
-        np.testing.assert_array_equal(acc.exceed, whole.exceed)
-        assert acc.frames == whole.frames
-    with pytest.raises(ValueError):
-        a.merge(PaprAccumulator(np.array([1.0])))
-    with pytest.raises(ValueError):
-        PaprAccumulator(grid).curve()
 
 
 def test_cp_loss_frozen_values():
@@ -136,18 +109,12 @@ def test_wilson_interval_behaviour():
 def test_bler_point_add_and_merge():
     p = BlerPoint(10.0)
     assert np.isnan(p.bler)
-    p.add(errors=2, blocks=8, trials=4)
-    p.add(errors=0, blocks=8, trials=4)
+    p.add(errors=2, blocks=8)
+    p.add(errors=0, blocks=8)
     assert p.bler == pytest.approx(2 / 16)
-    assert p.trials == 8
-
-    q = BlerPoint(10.0, block_errors=3, blocks=16, trials=8)
-    p.merge(q)
-    assert (p.block_errors, p.blocks, p.trials) == (5, 32, 16)
+    assert (p.block_errors, p.blocks, p.trials) == (2, 16, 2)
     lo, hi = p.interval()
-    assert lo < 5 / 32 < hi
-    with pytest.raises(ValueError):
-        p.merge(BlerPoint(12.0))
+    assert lo < 2 / 16 < hi
 
 
 def test_prefix_loss_is_monotone():
