@@ -2,9 +2,11 @@
 
 The decoder is plain C (``_minsum.c``), compiled with the system's
 ``cc`` on the first decode into this package's ``__pycache__`` and
-called through ``ctypes``; there is no Python fallback.  The tests
-check it against a scalar loop and against the numpy flooding kernel it
-replaced, bit for bit.
+called through ``ctypes``; there is no Python fallback.  It runs on the
+code's quasi-cyclic block layout, and on x86-64 glibc the loader picks
+its AVX2 clone when the CPU has AVX2.  The tests check it against a
+scalar loop and against the numpy flooding kernel it replaced, bit for
+bit, and the AVX2 clone against the baseline build.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import numpy as np
 USING_NUMBA = False
 
 MINSUM_SOURCE = Path(__file__).with_name("_minsum.c")
-# no -march=native, so every host runs the same arithmetic; no contraction
-# of multiply-adds, so the C kernel rounds exactly as numpy does
+# no -march=native, so every host runs the same arithmetic (the AVX2 clone
+# is chosen at load, and rounds as the baseline does); no contraction of
+# multiply-adds, so the C kernel rounds exactly as numpy does
 MINSUM_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _build_lock = threading.Lock()
@@ -78,15 +81,19 @@ def _load_decoder():
             real = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
             fn.argtypes = [
                 ctypes.c_int64,  # n_vars
-                ctypes.c_int64,  # n_checks
-                index,  # check_ptr
-                index,  # edge_var
+                ctypes.c_int64,  # lifting
+                ctypes.c_int64,  # base rows
+                index,  # row_ptr
+                index,  # block_col
+                index,  # block_shift
                 real,  # llr
                 ctypes.c_double,  # alpha
                 ctypes.c_int64,  # max_iters
                 np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"),  # hard
                 real,  # c2v scratch
-                real,  # total scratch
+                real,  # totals scratch
+                real,  # lane state scratch
+                np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"),  # parity scratch
                 ctypes.POINTER(ctypes.c_int64),  # iterations
             ]
             fn.restype = ctypes.c_int
@@ -97,32 +104,36 @@ def _load_decoder():
 def min_sum_decode(llr, graph, alpha, max_iters):
     """Normalized min-sum decoding of one codeword, flooding schedule.
 
-    ``graph`` carries the parity checks in CSR form (``check_ptr``,
-    ``edge_var``), as the FEC module builds them.  Positive LLRs favour
-    bit 0; ties count as bit 1 so an all-zero input cannot masquerade as
-    a valid codeword.  Returns ``(hard_bits, ok, iterations)``.
+    ``graph`` carries the parity checks on their quasi-cyclic block
+    layout (:class:`otfsim.fec.LdpcGraph`).  Positive LLRs favour bit 0;
+    ties count as bit 1 so an all-zero input cannot masquerade as a valid
+    codeword.  Returns ``(hard_bits, ok, iterations)``.
     """
     decode = _load_decoder()
     llr = np.ascontiguousarray(llr, dtype=np.float64)
-    check_ptr, edge_var = graph.check_ptr, graph.edge_var
-    if llr.ndim != 1 or (edge_var.size and edge_var.max() >= llr.size):
-        raise ValueError(f"LLRs shaped {llr.shape} do not cover the graph's variables")
+    if llr.shape != (graph.n_vars,):
+        raise ValueError(f"LLRs shaped {llr.shape} do not match the graph's {graph.n_vars} bits")
     max_iters = int(max_iters)
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
+    z = graph.lifting
     hard = np.empty(llr.size, dtype=np.uint8)
     iterations = ctypes.c_int64()
     ok = decode(
         llr.size,
-        check_ptr.size - 1,
-        check_ptr,
-        edge_var,
+        z,
+        graph.row_ptr.size - 1,
+        graph.row_ptr,
+        graph.block_col,
+        graph.block_shift,
         llr,
         float(alpha),
         max_iters,
         hard,
-        np.zeros(edge_var.size),
-        np.empty(llr.size),
+        np.zeros(graph.block_col.size * z),
+        np.empty(2 * llr.size),
+        np.empty(8 * z),
+        np.empty(z, dtype=np.uint8),
         ctypes.byref(iterations),
     )
     return hard, bool(ok), iterations.value

@@ -26,19 +26,19 @@ from . import _kernels
 
 @dataclass(frozen=True)
 class LdpcGraph:
-    """Parity-check adjacency in CSR form, edges in check-major order."""
+    """The parity checks on their quasi-cyclic block layout.
 
-    check_ptr: np.ndarray  # int64 (n_checks + 1,): check c owns edges ptr[c]..ptr[c+1]-1
-    edge_var: np.ndarray  # int64 (n_edges,): the variable each edge reaches
+    Every non-negative entry of the base matrix is one circulant block,
+    listed row-major with columns ascending.  Lane ``i`` of block ``b`` in
+    base row ``r`` joins check ``r * lifting + i`` to variable
+    ``block_col[b] * lifting + (i + block_shift[b]) % lifting``.
+    """
 
-    def syndrome_ok(self, bits: np.ndarray) -> bool:
-        """True when every check XORs to zero over the given hard bits.
-
-        The dual-diagonal parity part gives every check at least one
-        edge, so each ``reduceat`` segment is exactly one check's edges.
-        """
-        edge_bits = np.asarray(bits, dtype=np.uint8)[self.edge_var]
-        return not np.bitwise_xor.reduceat(edge_bits, self.check_ptr[:-1]).any()
+    lifting: int
+    n_vars: int  # lifting times the base columns
+    row_ptr: np.ndarray  # int64 (base rows + 1,): row r owns blocks ptr[r]..ptr[r+1]-1
+    block_col: np.ndarray  # int64 (blocks,): the base column of each block
+    block_shift: np.ndarray  # int64 (blocks,): the circulant shift of each block
 
 
 class LdpcCode:
@@ -50,6 +50,8 @@ class LdpcCode:
             raise ValueError("base matrix must be a wide 2-D shift table")
         if lifting < 1 or hb.max() >= lifting:
             raise ValueError("shifts must lie below the lifting size")
+        if hb.min() < -1:
+            raise ValueError("shifts must be -1 (no block) or non-negative")
         self.base_matrix = hb
         self.lifting = int(lifting)
         self.name = name
@@ -113,11 +115,14 @@ class LdpcCode:
         return idx, np.broadcast_to(shifts >= 0, idx.shape)
 
     def _build_graph(self) -> LdpcGraph:
-        idx, mask = self._lift(self.base_matrix)
-        degrees = mask.sum(axis=2).ravel()
+        on = self.base_matrix >= 0
+        rows, cols = np.nonzero(on)  # row-major, columns ascending
         return LdpcGraph(
-            np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64),
-            np.ascontiguousarray(idx[mask], dtype=np.int64),
+            self.lifting,
+            self.codeword_len,
+            np.concatenate([[0], np.cumsum(on.sum(axis=1))]).astype(np.int64),
+            cols.astype(np.int64),
+            self.base_matrix[rows, cols].astype(np.int64),
         )
 
     def _encoder_tables(self) -> tuple[np.ndarray, np.ndarray]:

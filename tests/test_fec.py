@@ -63,14 +63,32 @@ def test_code_dimensions():
     assert CODE.lifting == 81
 
 
+def satisfies_checks(code, words):
+    """Whether each word (one per row) satisfies the dense parity checks."""
+    return ~(np.atleast_2d(words) @ dense_parity_checks(code).T % 2).any(axis=1)
+
+
 def test_encoded_words_satisfy_every_check():
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        cw = CODE.encode(rng.integers(0, 2, CODE.message_len))
-        assert CODE.graph.syndrome_ok(cw)
-        # systematic: the message prefix is the message
+    cws = CODE.encode(rng.integers(0, 2, 10 * CODE.message_len))
+    assert satisfies_checks(CODE, cws).all()
+    # systematic: the message prefix is the message
     msg = rng.integers(0, 2, CODE.message_len)
     np.testing.assert_array_equal(CODE.encode(msg)[: CODE.message_len], msg)
+    # a random word or one flipped bit breaks a check, and the decoder's own
+    # syndrome agrees with the dense one before it runs any iteration
+    for code in (CODE, SMALL_CODE):
+        rng = np.random.default_rng(5)
+        cw = code.encode(rng.integers(0, 2, code.message_len))
+        words = [cw, rng.integers(0, 2, code.codeword_len)]
+        for bit in rng.choice(code.codeword_len, min(code.codeword_len, 40), replace=False):
+            flipped = cw.copy()
+            flipped[bit] ^= 1
+            words.append(flipped)
+        dense = satisfies_checks(code, words)
+        assert dense[0] and not dense[1:].any()
+        for word, good in zip(words, dense):
+            assert code.decode(to_llrs(word), max_iters=0)[1] == good
 
 
 @PROPERTY
@@ -81,8 +99,7 @@ def test_encode_matches_oracle(code, n_msgs, seed):
     np.testing.assert_array_equal(fast, encode_oracle(code, msgs))
     assert fast.dtype == np.uint8
     assert fast.shape == ((code.codeword_len,) if n_msgs == 1 else (n_msgs, code.codeword_len))
-    for cw in np.atleast_2d(fast):
-        assert code.graph.syndrome_ok(cw)
+    assert satisfies_checks(code, fast).all()
 
 
 def dense_parity_checks(code):
@@ -95,28 +112,13 @@ def dense_parity_checks(code):
     return h
 
 
-@pytest.mark.parametrize("code", [CODE, SMALL_CODE], ids=["n1944", "small"])
-def test_syndrome_matches_dense_parity_checks(code):
-    h = dense_parity_checks(code)
-    rng = np.random.default_rng(5)
-    cw = code.encode(rng.integers(0, 2, code.message_len))
-    words = [cw, rng.integers(0, 2, code.codeword_len)]
-    for bit in rng.choice(code.codeword_len, min(code.codeword_len, 40), replace=False):
-        flipped = cw.copy()
-        flipped[bit] ^= 1
-        words.append(flipped)
-    for word in words:
-        assert code.graph.syndrome_ok(word) == (not (h @ word % 2).any())
-    assert code.graph.syndrome_ok(cw)
-
-
 def test_single_bit_flip_breaks_and_decodes():
     rng = np.random.default_rng(1)
     msg = rng.integers(0, 2, CODE.message_len)
     cw = CODE.encode(msg)
     flipped = cw.copy()
     flipped[777] ^= 1
-    assert not CODE.graph.syndrome_ok(flipped)
+    assert not satisfies_checks(CODE, flipped).any()
     bits, ok = CODE.decode(to_llrs(flipped))
     assert ok
     np.testing.assert_array_equal(bits, cw)
@@ -210,6 +212,13 @@ def test_tampered_base_matrix_is_rejected():
         LdpcCode(hb, 50)  # shifts exceed the lifting size
     with pytest.raises(ValueError):
         LdpcCode(hb.T, raw["lifting"])
+
+    # a valid 3x4 anchored matrix, then a shift below -1 in its info column
+    anchored = np.array([[2, 1, 0, -1], [0, 0, 0, 0], [-1, 1, -1, 0]])
+    assert LdpcCode(anchored, 3).codeword_len == 12
+    anchored[2, 0] = -2
+    with pytest.raises(ValueError, match="-1"):
+        LdpcCode(anchored, 3)
 
 
 def test_encode_input_validation():

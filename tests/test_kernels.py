@@ -3,10 +3,11 @@ import shutil
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fec import SMALL_CODE
 
@@ -19,7 +20,7 @@ from otfsim.channel import (
     apply_channel_operator_adjoint,
     build_channel_matrix,
 )
-from otfsim.fec import default_code
+from otfsim.fec import LdpcCode, default_code
 from otfsim.transforms import add_cp, remove_cp
 
 # the same draws on every run: a fixed seed and no replay of saved examples
@@ -158,9 +159,21 @@ def test_stream_body_equals_matrix_for_one_shared_delay():
     np.testing.assert_allclose(rx, h @ body, rtol=0, atol=1e-14)
 
 
+# Z = 613: shifts 0 and Z - 1 among the blocks, so the decoder's rotated
+# reads run both ways round, on far more lanes than the bundled code's 81
+WRAP_CODE = LdpcCode(
+    [
+        [612, 5, -1, 7, 0, -1],
+        [300, -1, 1, 0, 0, 0],
+        [-1, 611, 50, 7, -1, 0],
+    ],
+    613,
+)
+
+
 def padded_checks(code):
     """The parity checks as padded per-check variable lists and slot mask,
-    lifted from the base matrix apart from the graph's CSR arrays."""
+    lifted from the base matrix apart from the graph's block layout."""
     idx, mask = code._lift(code.base_matrix)
     n_checks = idx.shape[0] * idx.shape[1]
     return np.where(mask, idx, 0).reshape(n_checks, -1), mask.reshape(n_checks, -1)
@@ -331,14 +344,30 @@ def test_min_sum_counts_iterations():
 
 
 def test_graph_csr_lists_the_padded_edges():
-    for code in (default_code(), SMALL_CODE):
-        graph = code.graph
+    # the block layout: one block per non-negative base entry, row-major
+    # with columns ascending, whose lanes reproduce the padded checks
+    for code in (default_code(), SMALL_CODE, WRAP_CODE):
+        graph, hb, z = code.graph, code.base_matrix, code.lifting
+        assert (graph.lifting, graph.n_vars) == (z, code.codeword_len)
+        for field in (graph.row_ptr, graph.block_col, graph.block_shift):
+            assert field.dtype == np.int64 and field.flags.c_contiguous
+        rows, cols = np.nonzero(hb >= 0)
+        np.testing.assert_array_equal(np.diff(graph.row_ptr), (hb >= 0).sum(axis=1))
+        assert graph.row_ptr[0] == 0
+        np.testing.assert_array_equal(graph.block_col, cols)
+        np.testing.assert_array_equal(graph.block_shift, hb[rows, cols])
         chk_vars, chk_mask = padded_checks(code)
-        assert graph.check_ptr.dtype == graph.edge_var.dtype == np.int64
-        np.testing.assert_array_equal(
-            graph.check_ptr, np.concatenate([[0], np.cumsum(chk_mask.sum(axis=1))])
-        )
-        np.testing.assert_array_equal(graph.edge_var, chk_vars[chk_mask])
+        lanes = np.arange(z)
+        for r in range(hb.shape[0]):
+            blocks = range(graph.row_ptr[r], graph.row_ptr[r + 1])
+            lane_vars = np.stack(
+                [graph.block_col[b] * z + (lanes + graph.block_shift[b]) % z for b in blocks],
+                axis=1,
+            )
+            checks = slice(r * z, (r + 1) * z)
+            np.testing.assert_array_equal(lane_vars, chk_vars[checks, : len(blocks)])
+            assert chk_mask[checks, : len(blocks)].all()
+            assert not chk_mask[checks, len(blocks) :].any()
 
 
 def noisy_llrs(code, sigma, seed, kind):
@@ -362,16 +391,21 @@ def noisy_llrs(code, sigma, seed, kind):
     return llr
 
 
+LLR_KINDS = ["noisy", "rounded", "zeros", "signed_zeros", "huge", "mixed_huge", "overflow"]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
-    st.sampled_from([default_code(), SMALL_CODE]),
+    st.sampled_from([default_code(), SMALL_CODE, WRAP_CODE]),
     st.sampled_from([0.4, 0.7, 0.9, 1.2]),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(
-        ["noisy", "rounded", "zeros", "signed_zeros", "huge", "mixed_huge", "overflow"]
-    ),
+    st.sampled_from(LLR_KINDS),
     st.sampled_from([0, 1, 5, 50]),
 )
+# words whose overflowing totals leave checks with exactly one NaN magnitude,
+# where the NaN edge alone gets min2
+@example(default_code(), 0.7, 0, "overflow", 50)
+@example(WRAP_CODE, 0.7, 0, "overflow", 5)
 def test_min_sum_matches_numpy_kernel(code, sigma, seed, kind, max_iters):
     llr = noisy_llrs(code, sigma, seed, kind)
     bits, ok, iters = kernels.min_sum_decode(llr, code.graph, 0.75, max_iters)
@@ -381,6 +415,44 @@ def test_min_sum_matches_numpy_kernel(code, sigma, seed, kind, max_iters):
     np.testing.assert_array_equal(bits, want_bits)
     assert (ok, iters) == (want_ok, want_iters)
     assert type(ok) is bool and type(iters) is int
+
+
+def test_avx2_clone_decodes_like_the_baseline(tmp_path, monkeypatch):
+    # the shipped build carries an AVX2 clone wherever the source's guard
+    # holds; the preprocessor says whether it holds for this compiler
+    shipped = kernels.minsum_library()
+    source = kernels.MINSUM_SOURCE.read_text()
+    clone = '__attribute__((target_clones("avx2", "default")))'
+    assert source.count(clone) == 1
+    expanded = subprocess.run(
+        ["cc", "-E", str(kernels.MINSUM_SOURCE)], capture_output=True, text=True, check=True
+    ).stdout
+    symbol = b"otfsim_min_sum_decode.avx2"
+    assert (symbol in shipped.read_bytes()) == ("target_clones" in expanded)
+    if "target_clones" not in expanded:
+        pytest.skip("the decoder has no AVX2 clone on this platform")
+    if "avx2" not in Path("/proc/cpuinfo").read_text().split():
+        pytest.skip("the CPU lacks AVX2, so the loader picks the baseline clone")
+    baseline = tmp_path / "_minsum.c"
+    baseline.write_text(source.replace(clone, ""))
+    lib = tmp_path / "baseline.so"
+    subprocess.run(["cc", *kernels.MINSUM_CFLAGS, "-o", str(lib), str(baseline)], check=True)
+    assert symbol not in lib.read_bytes()
+    cases = [
+        (code, noisy_llrs(code, sigma, seed, kind), max_iters)
+        for code in (default_code(), SMALL_CODE, WRAP_CODE)
+        for kind in LLR_KINDS
+        for sigma, seed in ((0.7, 11), (1.2, 12))
+        for max_iters in (0, 1, 5, 50)
+    ]
+    want = [kernels.min_sum_decode(llr, c.graph, 0.75, it) for c, llr, it in cases]
+    monkeypatch.setattr(kernels, "minsum_library", lambda: lib)
+    monkeypatch.setattr(kernels, "_decoder", None)
+    got = [kernels.min_sum_decode(llr, c.graph, 0.75, it) for c, llr, it in cases]
+    for (bits, ok, iters), (want_bits, want_ok, want_iters) in zip(got, want):
+        np.testing.assert_array_equal(bits, want_bits)
+        assert (ok, iters) == (want_ok, want_iters)
+    assert any(iters == 50 for _, _, iters in want)  # some words run every iteration
 
 
 def test_min_sum_rejects_bad_input():
