@@ -79,6 +79,7 @@ def _load_decoder():
             fn = ctypes.CDLL(str(minsum_library())).otfsim_min_sum_decode
             index = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
             real = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+            byte = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
             fn.argtypes = [
                 ctypes.c_int64,  # n_vars
                 ctypes.c_int64,  # lifting
@@ -89,11 +90,11 @@ def _load_decoder():
                 real,  # llr
                 ctypes.c_double,  # alpha
                 ctypes.c_int64,  # max_iters
-                np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"),  # hard
+                byte,  # hard
                 real,  # c2v scratch
                 real,  # totals scratch
                 real,  # lane state scratch
-                np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"),  # parity scratch
+                byte,  # parity scratch
                 ctypes.POINTER(ctypes.c_int64),  # iterations
             ]
             fn.restype = ctypes.c_int
