@@ -16,12 +16,14 @@ delay ``l``,
 
 with ``w_p = 2 pi k_p / (M N)``, and ``H = sum_l diag(c_l) P**l``.
 :meth:`ChannelRealization.diagonals` is the one place that evaluates
-them.  The body-length view folds them mod ``M*N`` into a sparse ``H``,
-built once per realization; the operator, its adjoint and the Gram
-matrix ``H H^H`` use it.  The stream view applies them as a causal
-linear time-varying convolution along a transmitted stream, prefix
-included.  After stripping a long-enough cyclic prefix the two agree
-exactly, which the tests verify.
+them.  The body-length view folds them mod ``M*N`` once per realization,
+one row per distinct delay (:attr:`ChannelRealization.folded_diagonals`);
+the operator and its adjoint are shifts and products of those rows, and
+so is the Gram matrix ``H H^H``, a cyclic band that
+:func:`gram_matrix` returns as its diagonals.  The stream view applies
+them as a causal linear time-varying convolution along a transmitted
+stream, prefix included.  After stripping a long-enough cyclic prefix
+the two agree exactly, which the tests verify.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from functools import cached_property
 from importlib import resources
 
 import numpy as np
-from scipy import sparse
 
 from .grid import FrameParams
 
@@ -159,24 +160,24 @@ class ChannelRealization:
         return out
 
     @cached_property
-    def matrix(self) -> sparse.csr_array:
-        """H as a sparse matrix, built on first use and kept.
+    def folded_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The body's diagonals folded mod ``M*N``, built on first use and kept.
 
-        Row ``u`` holds the diagonal ``c_l[u]`` of each delay ``l`` in
-        column ``u - l`` (mod ``M*N``); delays equal mod ``M*N`` share one
-        diagonal, so a row has one non-zero per distinct delay mod ``M*N``.
+        Returns the distinct delays mod ``M*N`` in ascending order and a
+        read-only array with one row per delay: row ``i`` holds ``c_l[u]``
+        for ``u = 0 .. M*N - 1``, so ``H[u, (u - l) mod M*N] = c_l[u]``.
+        Delays equal mod ``M*N`` share a row, summed in order of first
+        appearance.
         """
         n = self.block_len
-        rows = np.arange(n)
         folded: dict[int, np.ndarray] = {}
-        for l, c in self.diagonals(rows).items():
+        for l, c in self.diagonals(np.arange(n)).items():
             folded[l % n] = folded[l % n] + c if l % n in folded else c
         delays = np.array(sorted(folded), dtype=np.int64)
-        data = np.array([folded[l] for l in delays.tolist()], dtype=complex)
-        cols = (rows[None, :] - delays[:, None]) % n
-        return sparse.csr_array(
-            (data.ravel(), (np.tile(rows, delays.size), cols.ravel())), shape=(n, n)
-        )
+        rows = np.array([folded[l] for l in delays.tolist()], dtype=complex)
+        delays.flags.writeable = False
+        rows.flags.writeable = False
+        return delays, rows
 
 
 def identity_channel(params: FrameParams) -> ChannelRealization:
@@ -249,8 +250,8 @@ def sample_channel(
 def build_channel_matrix(ch: ChannelRealization) -> np.ndarray:
     """Materialize H as a dense complex matrix, tap by tap (small grids only).
 
-    The dense oracle that the tests hold :attr:`ChannelRealization.matrix`
-    and the operators to.
+    The dense oracle that the tests hold the folded diagonals, the
+    operators and the Gram band to.
     """
     n = ch.block_len
     h = np.zeros((n, n), dtype=complex)
@@ -262,25 +263,60 @@ def build_channel_matrix(ch: ChannelRealization) -> np.ndarray:
     return h
 
 
+def _body_columns(ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    if v.ndim not in (1, 2) or v.shape[0] != ch.block_len:
+        raise ValueError(f"expected {ch.block_len} samples per column, got shape {v.shape}")
+    return v
+
+
 def apply_channel_operator(ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
-    """H @ v on one frame body."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != ch.block_len:
-        raise ValueError(f"expected {ch.block_len} samples, got {v.size}")
-    return ch.matrix @ v
+    """H @ v on one frame body, for one vector or a batch of columns."""
+    v = _body_columns(ch, v)
+    n = ch.block_len
+    out = np.zeros(v.shape, dtype=complex)
+    delays, rows = ch.folded_diagonals
+    for l, c in zip(delays.tolist(), rows):
+        c = c[:, None] if v.ndim == 2 else c
+        out[l:] += c[l:] * v[: n - l]
+        out[:l] += c[:l] * v[n - l :]
+    return out
 
 
 def apply_channel_operator_adjoint(ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
-    """H.conj().T @ v on one frame body."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != ch.block_len:
-        raise ValueError(f"expected {ch.block_len} samples, got {v.size}")
-    return np.conj(ch.matrix.T @ np.conj(v))
+    """H.conj().T @ v on one frame body, for one vector or a batch of columns."""
+    v = _body_columns(ch, v)
+    n = ch.block_len
+    out = np.zeros(v.shape, dtype=complex)
+    delays, rows = ch.folded_diagonals
+    for l, c in zip(delays.tolist(), rows):
+        c = c.conj()[:, None] if v.ndim == 2 else c.conj()
+        out[: n - l] += c[l:] * v[l:]
+        out[n - l :] += c[:l] * v[:l]
+    return out
 
 
-def gram_matrix(ch: ChannelRealization) -> sparse.csr_array:
-    """Sparse H @ H.conj().T: a cyclic band of half-width at most ``max_delay_bin``."""
-    return (ch.matrix @ ch.matrix.conj().T).tocsr()
+def gram_matrix(ch: ChannelRealization) -> np.ndarray:
+    """H @ H.conj().T as the diagonals of its cyclic band.
+
+    ``K[u, (u + d) mod M*N]`` sums ``c_l[u] conj(c_l'[u + d])`` over the
+    delay pairs with ``l' - l = d (mod M*N)``.  Each pair's offset is taken
+    in ``[-M*N/2, M*N/2)``; with L the largest of them in magnitude, row
+    ``L + d`` of the returned ``(2L + 1, M*N)`` array holds diagonal d at
+    column u.  A band of width at least ``M*N`` has rows whose offsets
+    are congruent mod ``M*N``: the entry is their sum (the pairs at offset
+    ``M*N/2`` all land on row 0).
+    """
+    n = ch.block_len
+    delays, rows = ch.folded_diagonals
+    offsets = (delays[None, :] - delays[:, None] + n // 2) % n - n // 2
+    half = int(np.abs(offsets).max())
+    band = np.zeros((2 * half + 1, n), dtype=complex)
+    conj_rows = rows.conj()
+    for i, c in enumerate(rows):
+        for j, d in enumerate(offsets[i].tolist()):
+            band[half + d] += c * np.roll(conj_rows[j], -d)
+    return band
 
 
 def apply_channel(

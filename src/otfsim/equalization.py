@@ -8,14 +8,17 @@ unitary grid transform),
 
 and per-symbol output noise sigma^2(eta) = sigma_n^2 times the squared
 row norms of the combining matrix.  Since A is unitary, G G^H equals
-H_hat H_hat^H, the sparse cyclic band that the channel module builds
-from its few delay taps.  One sparse LU factor of G G^H + rho I serves
-the payload solve and the variances.  Up to ``EXACT_VARIANCE_LIMIT``
-samples the variances are exact: an estimate with one distinct delay
-(every desk-scale channel) makes G G^H + rho I diagonal, and the column
-norms reduce to per-sample powers pooled into grid cells in O(MN); more
+H_hat H_hat^H, the cyclic band of half-width L (the largest delay
+offset) that the channel module builds from its per-delay diagonals.
+Reordered by the fold 0, n-1, 1, n-2, ..., the cyclic band of
+G G^H + rho I becomes a plain band of half-width 2L, so one banded
+Cholesky factor serves the payload solve and the variances, with no
+wrap-around correction.  Up to ``EXACT_VARIANCE_LIMIT`` samples the
+variances are exact: an estimate with one distinct delay (every
+desk-scale channel) makes G G^H + rho I diagonal, and the column norms
+reduce to per-sample powers pooled into grid cells in O(MN); more
 delays take the dense column norms.  Beyond the limit seeded random sign
-probes estimate them.
+probes estimate them, all probes solved as one block.
 
 The narrowband-OFDM waveform uses per-cell division by the estimated
 gain with effective noise sigma_v^2 / |h|^2; cells whose estimate sits
@@ -28,8 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import channel as chan
 from .channel import ChannelRealization
@@ -44,7 +46,8 @@ FADE_FLOOR = 1e-12
 # n-by-n H: a complex array of 16 n^2 bytes, 64 MB at n = 2048 and 268 MB
 # at 4096; a single-delay estimate needs O(n); beyond, probes for both
 EXACT_VARIANCE_LIMIT = 2048
-# an LU pivot this far below the largest marks the system singular
+# a Cholesky pivot (squared diagonal) this far below the largest marks
+# the system singular
 SINGULAR_PIVOT_RATIO = 1e-12
 
 
@@ -78,23 +81,72 @@ class EqualizedFrame:
         )
 
 
-def _factor(ch: ChannelRealization, rho: float):
-    """Sparse LU factor of H H^H + rho I, ridged if it is singular.
+def fold_order(n: int) -> np.ndarray:
+    """The samples in fold order 0, n-1, 1, n-2, ...
 
-    SuperLU raises only on an exactly zero pivot; a pivot that is zero
-    up to rounding is caught by its ratio to the largest one.
+    Neighbours on the cycle, ``u`` and ``u + d (mod n)``, end up at most
+    ``2 |d|`` places apart, so a cyclic band of half-width L becomes a
+    plain band of half-width 2L.
     """
-    eye = sparse.identity(ch.block_len)
-    k = (chan.gram_matrix(ch) + rho * eye).tocsc()
+    order = np.empty(n, dtype=np.int64)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = n - 1 - np.arange(n // 2)
+    return order
+
+
+def _lower_band(band: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """LAPACK lower band storage of the fold-ordered cyclic band.
+
+    ``band`` is a cyclic band as :func:`otfsim.channel.gram_matrix`
+    returns it.  Each entry ``K[u, u + d]`` moves to the places of ``u``
+    and ``u + d`` in ``order``; those in the lower triangle are stored,
+    and rows whose offsets are congruent mod n add into one entry.
+    """
+    half = band.shape[0] // 2
+    n = band.shape[1]
+    place = np.empty(n, dtype=np.int64)
+    place[order] = np.arange(n)
+    ab = np.zeros((min(2 * half, n - 1) + 1, n), dtype=complex)
+    for d in range(-half, half + 1):
+        cols = np.roll(place, -d)
+        lower = place >= cols
+        ab[place[lower] - cols[lower], cols[lower]] += band[half + d, lower]
+    return ab
+
+
+@dataclass(frozen=True)
+class BandFactor:
+    """Banded Cholesky factor of H H^H + rho I, taken in fold order."""
+
+    order: np.ndarray
+    lower: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(H H^H + rho I)^{-1} b for one vector or a batch of columns."""
+        out = np.empty(b.shape, dtype=complex)
+        out[self.order] = cho_solve_banded((self.lower, True), b[self.order])
+        return out
+
+
+def _factor(ch: ChannelRealization, rho: float) -> BandFactor:
+    """Banded Cholesky factor of H H^H + rho I, ridged if it is singular.
+
+    LAPACK stops only on a pivot that is not positive; one that is zero
+    up to rounding is caught by its ratio to the largest.
+    """
+    band = chan.gram_matrix(ch)
+    band[band.shape[0] // 2] += rho
+    order = fold_order(ch.block_len)
+    ab = _lower_band(band, order)
     try:
-        lu = splu(k)
-        pivots = np.abs(lu.U.diagonal())
+        lower = cholesky_banded(ab, lower=True)
+        pivots = lower[0].real ** 2
         singular = pivots.min() < SINGULAR_PIVOT_RATIO * pivots.max()
-    except RuntimeError:  # exactly singular
+    except np.linalg.LinAlgError:  # not positive definite
         singular = True
     if not singular:
-        return lu
-    scale = max(float(np.abs(k.diagonal().real).max()), 1.0)
+        return BandFactor(order, lower)
+    scale = max(float(np.abs(ab[0].real).max()), 1.0)
     ridge = 1e-12 * scale
     warnings.warn(
         f"equalizer system singular (condition above {scale / ridge:.2e});"
@@ -102,43 +154,52 @@ def _factor(ch: ChannelRealization, rho: float):
         RuntimeWarning,
         stacklevel=3,
     )
-    return splu((k + ridge * eye).tocsc())
+    ab[0] += ridge
+    return BandFactor(order, cholesky_banded(ab, lower=True))
 
 
 def _exact_noise_vars(
-    ch: ChannelRealization, transform: GridTransform, lu, noise_var: float
+    ch: ChannelRealization, transform: GridTransform, factor: BandFactor, noise_var: float
 ) -> np.ndarray:
     """sigma_n^2 * squared column norms of (H H^H + rho I)^{-1} H A.
 
-    Right-multiplying by A is done through the adjoint transform on the
-    conjugate transpose, so no dense A is formed; the columns of B A are
-    the rows of its conjugate transpose.
+    The dense H is laid out from the folded diagonals.  Right-multiplying
+    by A is done through the adjoint transform on the conjugate
+    transpose, so no dense A is formed; the columns of B A are the rows of
+    its conjugate transpose.
     """
-    b = lu.solve(ch.matrix.toarray())
+    n = ch.block_len
+    u = np.arange(n)
+    h = np.zeros((n, n), dtype=complex)
+    for l, c in zip(*ch.folded_diagonals):
+        h[u, (u - l) % n] = c
+    b = factor.solve(h)
     ba_hermitian = transform.adjoint(b.conj().T)
     col_norms_sq = np.sum(np.abs(ba_hermitian) ** 2, axis=1)
     return np.maximum(noise_var * col_norms_sq, VAR_FLOOR)
 
 
 def _diagonal_noise_vars(
-    ch: ChannelRealization, transform: GridTransform, lu, noise_var: float
+    ch: ChannelRealization, transform: GridTransform, factor: BandFactor, noise_var: float
 ) -> np.ndarray:
     """Exact variances when H has one distinct delay, in O(n).
 
-    Then H H^H + rho I is diagonal, so (H H^H + rho I)^{-1} H has the
-    entries d_u H_ui with d the factored system's solve of the all-ones
-    vector (ridge included), and its squared column norms after A are
-    (|A|^2)^T q with q_i = sum_u |d_u H_ui|^2.
+    Then H = diag(c) P^l and H H^H + rho I is diagonal, so
+    (H H^H + rho I)^{-1} H has the entries d_u c_u in column u - l, with d
+    the factored system's solve of the all-ones vector (ridge included),
+    and its squared column norms after A are (|A|^2)^T q with
+    q_(u - l) = |d_u c_u|^2.
     """
-    d_sq = np.abs(lu.solve(np.ones(ch.block_len, dtype=complex))) ** 2
-    q = abs(ch.matrix).power(2).T @ d_sq
+    (l,), (c,) = ch.folded_diagonals
+    d_sq = np.abs(factor.solve(np.ones(ch.block_len, dtype=complex))) ** 2
+    q = np.roll(np.abs(c) ** 2 * d_sq, -int(l))
     return np.maximum(noise_var * transform.adjoint_power(q), VAR_FLOOR)
 
 
 def _probe_noise_vars(
     ch: ChannelRealization,
     transform: GridTransform,
-    lu,
+    factor: BandFactor,
     noise_var: float,
     probes: int,
     probe_seed: int,
@@ -147,18 +208,18 @@ def _probe_noise_vars(
 
     Averages conj(z) * (M^H M z) over random sign probes z, where
     M = (H H^H + rho I)^{-1} H A; unbiased with relative error shrinking
-    like 1/sqrt(probes).
+    like 1/sqrt(probes).  The probes are drawn one after another and
+    solved as one block of columns.
     """
     n = transform.size
     rng = np.random.default_rng(probe_seed)
+    z = np.stack([rng.integers(0, 2, size=n) * 2.0 - 1.0 for _ in range(probes)], axis=1)
+    mz = factor.solve(chan.apply_channel_operator(ch, transform.apply(z)))
+    mhmz = transform.adjoint(chan.apply_channel_operator_adjoint(ch, factor.solve(mz)))
     acc = np.zeros(n)
-    for _ in range(max(1, probes)):
-        z = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        mz = lu.solve(chan.apply_channel_operator(ch, transform.apply(z)))
-        mhmz = transform.adjoint(chan.apply_channel_operator_adjoint(ch, lu.solve(mz)))
-        acc += np.real(np.conj(z) * mhmz)
-    diag = acc / max(1, probes)
-    return np.maximum(noise_var * diag, VAR_FLOOR)
+    for j in range(probes):
+        acc += np.real(np.conj(z[:, j]) * mhmz[:, j])
+    return np.maximum(noise_var * (acc / probes), VAR_FLOOR)
 
 
 def lmmse_equalize(
@@ -171,10 +232,11 @@ def lmmse_equalize(
 ) -> EqualizedFrame:
     """Whole-frame linear MMSE equalization against a tap-set estimate.
 
-    The data symbols are taken to have unit power.  Per-symbol variances are exact up to ``EXACT_VARIANCE_LIMIT``
-    samples, in closed form when the estimate has one distinct delay,
-    and estimated with ``variance_probes`` random sign probes, drawn
-    from ``probe_seed``, beyond.
+    The data symbols are taken to have unit power.  Per-symbol variances
+    are exact up to ``EXACT_VARIANCE_LIMIT`` samples, in closed form when
+    the estimate has one distinct delay, and estimated with
+    ``variance_probes`` (at least 1) random sign probes, drawn from
+    ``probe_seed``, beyond.
     """
     r_body = np.asarray(r_body, dtype=complex).ravel()
     n = transform.size
@@ -184,17 +246,21 @@ def lmmse_equalize(
         raise ValueError("channel and transform describe different frame sizes")
     if noise_var < 0:
         raise ValueError("noise variance must be non-negative")
+    if variance_probes < 1:
+        raise ValueError("variance_probes must be at least 1")
 
-    lu = _factor(ch, noise_var)
+    factor = _factor(ch, noise_var)
     if n > EXACT_VARIANCE_LIMIT:
         noise_vars = _probe_noise_vars(
-            ch, transform, lu, noise_var, variance_probes, probe_seed
+            ch, transform, factor, noise_var, variance_probes, probe_seed
         )
-    elif np.unique(ch.delay_bins % n).size == 1:
-        noise_vars = _diagonal_noise_vars(ch, transform, lu, noise_var)
+    elif len(ch.folded_diagonals[0]) == 1:
+        noise_vars = _diagonal_noise_vars(ch, transform, factor, noise_var)
     else:
-        noise_vars = _exact_noise_vars(ch, transform, lu, noise_var)
-    symbols = transform.adjoint(chan.apply_channel_operator_adjoint(ch, lu.solve(r_body)))
+        noise_vars = _exact_noise_vars(ch, transform, factor, noise_var)
+    symbols = transform.adjoint(
+        chan.apply_channel_operator_adjoint(ch, factor.solve(r_body))
+    )
     return EqualizedFrame(symbols, noise_vars)
 
 

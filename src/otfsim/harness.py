@@ -117,6 +117,8 @@ class RunConfig:
     def __post_init__(self):
         if self.trials_per_point < 1 or self.chunk_size < 1:
             raise ValueError("trials_per_point and chunk_size must be at least 1")
+        if self.variance_probes < 1:
+            raise ValueError("variance_probes must be at least 1")
 
     @property
     def frame(self) -> FrameParams:

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import otfsim
 from otfsim.channel import (
     ChannelRealization,
     PathTap,
@@ -23,6 +28,37 @@ from otfsim.transforms import add_cp, remove_cp
 DESK = desk_scale_params()
 FULL = full_scale_params()
 NU_500KMPH_6GHZ = (500.0 / 3.6) * 6e9 / 299792458.0  # about 2779.7 Hz
+
+
+def band_to_dense(band, n):
+    """The n-by-n matrix of a cyclic band: row L + d holds diagonal d, and
+    rows whose offsets are congruent mod n add into the same entries."""
+    half = band.shape[0] // 2
+    dense = np.zeros((n, n), dtype=complex)
+    rows = np.arange(n)
+    for d in range(-half, half + 1):
+        dense[rows, (rows + d) % n] += band[half + d]
+    return dense
+
+
+def delay_channel(delays, m, n, seed=0):
+    """Two Doppler taps on each of the given delays, with random gains."""
+    rng = np.random.default_rng(seed)
+    taps = tuple(
+        PathTap(complex(*rng.standard_normal(2)), l, k) for l in delays for k in (1, -2)
+    )
+    return ChannelRealization(taps, m, n)
+
+
+# small cases held to a dense H H^H; the names say what each exercises
+BAND_CASES = {
+    "one_delay": delay_channel((3,), 8, 4),
+    "wrap_0_31": delay_channel((0, 31), 8, 4),
+    "wide_0_15": delay_channel((0, 15), 8, 4),
+    "width_n_0_16": delay_channel((0, 16), 8, 4),
+    "width_n_2x1": delay_channel((0, 1), 2, 1),
+    "delay_past_n": delay_channel((0, 3, 34), 8, 4),
+}
 
 
 def small_channel():
@@ -116,7 +152,93 @@ def test_operator_matches_dense_matrix():
     np.testing.assert_allclose(
         apply_channel_operator_adjoint(ch, v), h.conj().T @ v, atol=1e-12
     )
-    np.testing.assert_allclose(gram_matrix(ch).toarray(), h @ h.conj().T, atol=1e-12)
+    np.testing.assert_allclose(band_to_dense(gram_matrix(ch), 32), h @ h.conj().T, atol=1e-12)
+
+
+def test_operator_batches_columns():
+    # a block of columns is the same as each column on its own
+    ch = small_channel()
+    h = build_channel_matrix(ch)
+    rng = np.random.default_rng(24)
+    v = rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))
+    hv = apply_channel_operator(ch, v)
+    hhv = apply_channel_operator_adjoint(ch, v)
+    np.testing.assert_allclose(hv, h @ v, atol=1e-12)
+    np.testing.assert_allclose(hhv, h.conj().T @ v, atol=1e-12)
+    for j in range(5):
+        np.testing.assert_array_equal(hv[:, j], apply_channel_operator(ch, v[:, j]))
+        np.testing.assert_array_equal(hhv[:, j], apply_channel_operator_adjoint(ch, v[:, j]))
+    for bad in (np.zeros(31), np.zeros((31, 2)), np.zeros((32, 2, 2))):
+        with pytest.raises(ValueError):
+            apply_channel_operator(ch, bad)
+        with pytest.raises(ValueError):
+            apply_channel_operator_adjoint(ch, bad)
+
+
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_gram_band_matches_dense_product(case):
+    ch = BAND_CASES[case]
+    n = ch.block_len
+    h = build_channel_matrix(ch)
+    band = gram_matrix(ch)
+    assert band.shape[0] % 2 == 1 and band.shape[1] == n
+    np.testing.assert_allclose(band_to_dense(band, n), h @ h.conj().T, atol=1e-12)
+
+
+def test_gram_band_half_width_is_the_cyclic_delay_offset():
+    assert gram_matrix(BAND_CASES["one_delay"]).shape[0] == 1
+    assert gram_matrix(BAND_CASES["wrap_0_31"]).shape[0] == 3  # 31 = -1 mod 32
+    assert gram_matrix(BAND_CASES["wide_0_15"]).shape[0] == 31
+    assert gram_matrix(BAND_CASES["delay_past_n"]).shape[0] == 7  # 34 = 2 mod 32
+    # both pairs of delays 0 and 16 on 32 samples share offset 16 = -16
+    # mod 32: the band is one wider than the frame, and they add up
+    band = gram_matrix(BAND_CASES["width_n_0_16"])
+    assert band.shape[0] == 33
+    np.testing.assert_array_equal(band[-1], 0.0)
+
+
+def test_folded_diagonals_hold_the_dense_entries():
+    ch = BAND_CASES["delay_past_n"]
+    h = build_channel_matrix(ch)
+    delays, rows = ch.folded_diagonals
+    assert delays.tolist() == [0, 2, 3]
+    u = np.arange(ch.block_len)
+    for l, c in zip(delays, rows):
+        np.testing.assert_allclose(c, h[u, (u - l) % ch.block_len], atol=1e-12)
+    assert not rows.flags.writeable
+    assert ch.folded_diagonals[1] is rows
+
+
+def test_large_gram_band_matches_the_operators():
+    # 256x16 with delays 0, 1 and 3: too large for a dense H (268 MB), so
+    # K's columns come from the operators, which are held to the dense H
+    # on small grids
+    ch = delay_channel((0, 1, 3), 256, 16, seed=3)
+    n = ch.block_len
+    band = gram_matrix(ch)
+    assert band.shape == (7, n)
+    cols = np.array([0, 1, 2, 5, n // 2, n - 3, n - 1])
+    unit = np.zeros((n, cols.size), dtype=complex)
+    unit[cols, np.arange(cols.size)] = 1.0
+    want = apply_channel_operator(ch, apply_channel_operator_adjoint(ch, unit))
+    half = band.shape[0] // 2
+    got = np.zeros_like(want)
+    for j, col in enumerate(cols):
+        for d in range(-half, half + 1):
+            got[(col - d) % n, j] += band[half + d, (col - d) % n]
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # the channel and the equalizer work on dense bands: nothing in the
+    # package may pull scipy's sparse module back in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(otfsim.__file__)))
+    code = "import sys, otfsim; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_operator_adjoint_identity():

@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
+from test_channel import BAND_CASES, band_to_dense, delay_channel
 
 from otfsim import equalization
 from otfsim.channel import (
     ChannelRealization,
     PathTap,
     apply_channel_operator,
+    apply_channel_operator_adjoint,
     build_channel_matrix,
+    gram_matrix,
     load_profile,
     sample_channel,
 )
 from otfsim.equalization import (
+    VAR_FLOOR,
     EqualizedFrame,
     _diagonal_noise_vars,
     _exact_noise_vars,
     _factor,
+    _lower_band,
     _probe_noise_vars,
     compute_llrs,
+    fold_order,
     lmmse_equalize,
     single_tap_equalize,
 )
@@ -181,6 +187,120 @@ def test_singular_system_retries_with_ridge():
         out = lmmse_equalize(np.ones(32), ch, t, noise_var=0.0)
     assert np.all(np.isfinite(out.symbols))
     assert np.abs(out.symbols).max() < 1e-2
+
+
+def dense_system(ch, rho):
+    h = build_channel_matrix(ch)
+    return h @ h.conj().T + rho * np.eye(ch.block_len)
+
+
+def right_hand_sides(rng, n, columns):
+    b = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
+    return b[:, 0] if columns == 1 else b
+
+
+def test_fold_order_turns_a_cyclic_band_into_a_plain_one():
+    # cyclic neighbours at distance d land at most 2d places apart
+    for n in range(1, 70):
+        order = fold_order(n)
+        assert sorted(order.tolist()) == list(range(n))
+        place = np.empty(n, dtype=np.int64)
+        place[order] = np.arange(n)
+        u = np.arange(n)
+        for d in range(n // 2 + 1):
+            assert np.abs(place[u] - place[(u + d) % n]).max(initial=0) <= 2 * d
+
+
+@pytest.mark.parametrize("n, half", [(1, 0), (2, 1), (7, 2), (8, 3), (8, 4), (9, 4), (32, 1), (32, 16)])
+def test_lower_band_is_the_fold_ordered_matrix(n, half):
+    # any band, not only a Gram band: rows whose offsets are congruent mod
+    # n (both ends of a band of width n + 1) must add into one entry
+    rng = np.random.default_rng(n * 100 + half)
+    band = rng.standard_normal((2 * half + 1, n)) + 1j * rng.standard_normal((2 * half + 1, n))
+    order = fold_order(n)
+    folded = band_to_dense(band, n)[np.ix_(order, order)]
+    ab = _lower_band(band, order)
+    assert ab.shape == (min(2 * half, n - 1) + 1, n)
+    for r in range(n):
+        want = np.diagonal(folded, -r)
+        got = ab[r, : n - r] if r < ab.shape[0] else np.zeros(n - r)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("columns", [1, 9])
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_band_factor_solves_like_dense(case, columns):
+    ch = BAND_CASES[case]
+    n, rho = ch.block_len, 0.1
+    k = dense_system(ch, rho)
+    np.testing.assert_allclose(
+        band_to_dense(gram_matrix(ch), n) + rho * np.eye(n), k, atol=1e-12
+    )
+    b = right_hand_sides(np.random.default_rng(31), n, columns)
+    want = np.linalg.solve(k, b)
+    got = _factor(ch, rho).solve(b)
+    assert got.shape == b.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("columns", [1, 9])
+def test_large_band_factor_solves_the_system(columns):
+    # 256x16 with delays 0, 1 and 3: the residual is taken through the
+    # operators, since a dense H of 4096 samples is 268 MB
+    ch = delay_channel((0, 1, 3), 256, 16, seed=3)
+    rho = 0.05
+    b = right_hand_sides(np.random.default_rng(32), ch.block_len, columns)
+    x = _factor(ch, rho).solve(b)
+    kx = apply_channel_operator(ch, apply_channel_operator_adjoint(ch, x)) + rho * x
+    np.testing.assert_allclose(kx, b, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "taps",
+    [(PathTap(0.0, 0, 0),), (PathTap(1.0, 0, 0), PathTap(-1.0, 1, 0))],
+    ids=["zero_gain", "one_minus_shift"],
+)
+def test_ridged_factor_solves_the_ridged_system(taps):
+    # noiseless and singular: the factor is of K + ridge I, with the ridge
+    # 1e-12 times the largest diagonal entry (at least 1).  K + ridge I of
+    # I - P has condition number 4e12, so two backward-stable solves agree
+    # only to about 4e12 * eps; the residual is held to rounding instead
+    ch = ChannelRealization(taps, 8, 4)
+    k = dense_system(ch, 0.0)
+    ridged = k + 1e-12 * max(np.abs(np.diag(k)).max(), 1.0) * np.eye(32)
+    with pytest.warns(RuntimeWarning, match="^equalizer system singular"):
+        factor = _factor(ch, 0.0)
+    for columns in (1, 9):
+        b = right_hand_sides(np.random.default_rng(33), 32, columns)
+        got = factor.solve(b)
+        want = np.linalg.solve(ridged, b)
+        scale = np.linalg.norm(ridged, 2) * np.abs(got).max()
+        np.testing.assert_allclose(ridged @ got, b, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-3 * np.abs(want).max())
+
+
+def test_batched_probes_equal_a_probe_by_probe_loop():
+    ch = delay_channel((0, 1), 256, 16, seed=4)
+    t = GridTransform(256, 16, "otfs")
+    nv, probes, seed = 0.07, 8, 12345
+    factor = _factor(ch, nv)
+    rng = np.random.default_rng(seed)
+    acc = np.zeros(t.size)
+    for _ in range(probes):
+        z = rng.integers(0, 2, size=t.size) * 2.0 - 1.0
+        mz = factor.solve(apply_channel_operator(ch, t.apply(z)))
+        mhmz = t.adjoint(apply_channel_operator_adjoint(ch, factor.solve(mz)))
+        acc += np.real(np.conj(z) * mhmz)
+    want = np.maximum(nv * acc / probes, VAR_FLOOR)
+    got = _probe_noise_vars(ch, t, factor, nv, probes, seed)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("probes", [0, -3])
+def test_variance_probes_below_one_are_rejected(probes):
+    ch = ChannelRealization((PathTap(1.0, 0, 0),), 4, 2)
+    with pytest.raises(ValueError, match="variance_probes"):
+        lmmse_equalize(np.zeros(8), ch, GridTransform(4, 2, "otfs"), 0.1, probes)
 
 
 def test_mode_and_shape_validation():

@@ -245,7 +245,7 @@ def test_adjust_cp_loss_shifts_noise_floor(monkeypatch):
         assert off / on == pytest.approx(overhead, rel=1e-12)
 
 
-@pytest.mark.parametrize("key", ["trials_per_point", "chunk_size"])
+@pytest.mark.parametrize("key", ["trials_per_point", "chunk_size", "variance_probes"])
 @pytest.mark.parametrize("value", [0, -4])
 def test_run_config_rejects_non_positive_trial_counts(key, value):
     with pytest.raises(ValueError):

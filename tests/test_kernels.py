@@ -151,12 +151,11 @@ def test_stream_body_equals_matrix_for_one_shared_delay():
     )
     body = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
     rx = remove_cp(apply_channel(add_cp(body, cp), ch, cp_samples=cp), cp)
-    h = ch.matrix
-    np.testing.assert_array_equal(h.indptr, np.arange(m * n + 1))  # one entry a row
-    # H @ body formed with numpy's product: scipy's sparse product may
-    # round differently where numpy fuses multiply and add
-    np.testing.assert_array_equal(rx, h.data * body[h.indices])
-    np.testing.assert_allclose(rx, h @ body, rtol=0, atol=1e-14)
+    (delay,), (diagonal,) = ch.folded_diagonals  # one row: one entry a row of H
+    assert delay == 3
+    np.testing.assert_array_equal(rx, diagonal * np.roll(body, 3))
+    np.testing.assert_array_equal(rx, apply_channel_operator(ch, body))
+    np.testing.assert_allclose(rx, build_channel_matrix(ch) @ body, rtol=0, atol=1e-14)
 
 
 # Z = 613: shifts 0 and Z - 1 among the blocks, so the decoder's rotated
