@@ -44,9 +44,8 @@ def cmd_run(args) -> int:
     results = harness.run_sweep(cfg, threads=args.threads, log=_emit)
     os.makedirs(args.out, exist_ok=True)
     harness.write_bler_csv(os.path.join(args.out, "bler.csv"), results)
-    harness.write_papr_csv(os.path.join(args.out, "papr.csv"), results)
     harness.write_meta(os.path.join(args.out, "meta.json"), cfg)
-    _emit(f"wrote bler.csv, papr.csv, meta.json to {args.out}")
+    _emit(f"wrote bler.csv, meta.json to {args.out}")
     return 0
 
 

@@ -13,12 +13,12 @@ offset) that the channel module builds from its per-delay diagonals.
 Reordered by the fold 0, n-1, 1, n-2, ..., the cyclic band of
 G G^H + rho I becomes a plain band of half-width 2L, so one banded
 Cholesky factor serves the payload solve and the variances, with no
-wrap-around correction.  Up to ``EXACT_VARIANCE_LIMIT`` samples the
-variances are exact: an estimate with one distinct delay (every
-desk-scale channel) makes G G^H + rho I diagonal, and the column norms
-reduce to per-sample powers pooled into grid cells in O(MN); more
-delays take the dense column norms.  Beyond the limit seeded random sign
-probes estimate them, all probes solved as one block.
+wrap-around correction.  An estimate with one distinct delay (every
+desk-scale channel) makes G G^H + rho I diagonal, and its exact
+variances, at any frame size, reduce to per-sample powers pooled into
+grid cells in O(MN).  With more delays the variances are the dense
+column norms up to ``EXACT_VARIANCE_LIMIT`` samples; beyond the limit
+seeded random sign probes estimate them, all probes solved as one block.
 
 The narrowband-OFDM waveform uses per-cell division by the estimated
 gain with effective noise sigma_v^2 / |h|^2; cells whose estimate sits
@@ -44,7 +44,8 @@ VAR_FLOOR = 1e-30
 FADE_FLOOR = 1e-12
 # exact variances of a multi-delay estimate solve against the dense
 # n-by-n H: a complex array of 16 n^2 bytes, 64 MB at n = 2048 and 268 MB
-# at 4096; a single-delay estimate needs O(n); beyond, probes for both
+# at 4096; beyond, probes estimate them (a single-delay estimate needs O(n)
+# at any size)
 EXACT_VARIANCE_LIMIT = 2048
 # a Cholesky pivot (squared diagonal) this far below the largest marks
 # the system singular
@@ -233,8 +234,9 @@ def lmmse_equalize(
     """Whole-frame linear MMSE equalization against a tap-set estimate.
 
     The data symbols are taken to have unit power.  Per-symbol variances
-    are exact up to ``EXACT_VARIANCE_LIMIT`` samples, in closed form when
-    the estimate has one distinct delay, and estimated with
+    are exact in closed form at any size when the estimate has one
+    distinct delay.  With more delays they are exact up to
+    ``EXACT_VARIANCE_LIMIT`` samples and estimated with
     ``variance_probes`` (at least 1) random sign probes, drawn from
     ``probe_seed``, beyond.
     """
@@ -250,12 +252,12 @@ def lmmse_equalize(
         raise ValueError("variance_probes must be at least 1")
 
     factor = _factor(ch, noise_var)
-    if n > EXACT_VARIANCE_LIMIT:
+    if len(ch.folded_diagonals[0]) == 1:
+        noise_vars = _diagonal_noise_vars(ch, transform, factor, noise_var)
+    elif n > EXACT_VARIANCE_LIMIT:
         noise_vars = _probe_noise_vars(
             ch, transform, factor, noise_var, variance_probes, probe_seed
         )
-    elif len(ch.folded_diagonals[0]) == 1:
-        noise_vars = _diagonal_noise_vars(ch, transform, factor, noise_var)
     else:
         noise_vars = _exact_noise_vars(ch, transform, factor, noise_var)
     symbols = transform.adjoint(

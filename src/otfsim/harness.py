@@ -119,6 +119,10 @@ class RunConfig:
             raise ValueError("trials_per_point and chunk_size must be at least 1")
         if self.variance_probes < 1:
             raise ValueError("variance_probes must be at least 1")
+        if self.papr_frames < 1 or self.papr_oversample < 1:
+            raise ValueError("papr_frames and papr_oversample must be at least 1")
+        if self.ldpc_max_iters < 0:
+            raise ValueError("ldpc_max_iters must be non-negative")
 
     @property
     def frame(self) -> FrameParams:
@@ -196,12 +200,12 @@ def trial_generator(seed: int, stream: str) -> np.random.Generator:
 class TrialResult:
     block_errors: int
     blocks: int
-    papr_db: float
 
 
 @dataclass
 class SweepResult:
-    """One waveform's BLER points over the SNR grid, plus its PAPR tally."""
+    """One waveform's result: BLER points from ``run_sweep``, or the PAPR
+    tally of ``run_papr``, the program's only PAPR measurement."""
 
     spec: WaveformSpec
     points: list = field(default_factory=list)
@@ -354,7 +358,6 @@ class LinkSimulator:
         msg, stream, rs = self.build_stream(wf, payload_rng)
         scale = self._energy_scale(stream)
         tx = stream * scale
-        papr = papr_db(tx, cfg.papr_oversample)
         noise_var = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
         if cfg.adjust_cp_loss and noise_var:
             # whole-stream over body energy: the share the prefixes take
@@ -403,7 +406,7 @@ class LinkSimulator:
             if not est.taps:
                 # nothing detected above threshold: the frame is lost
                 blocks = msg.size // self.code.message_len
-                return TrialResult(blocks, blocks, papr)
+                return TrialResult(blocks, blocks)
             eq = lmmse_equalize(
                 r_body,
                 est,
@@ -415,7 +418,7 @@ class LinkSimulator:
 
         llrs = compute_llrs(eq, self.const)
         errors, blocks = self._decode_payload(llrs, msg)
-        return TrialResult(errors, blocks, papr)
+        return TrialResult(errors, blocks)
 
     # ----------------------------------------------------------------- sweep
 
@@ -424,7 +427,6 @@ class LinkSimulator:
         wf: WaveformSpec,
         snr_idx: int,
         executor: ThreadPoolExecutor | None = None,
-        papr_acc: PaprAccumulator | None = None,
     ) -> BlerPoint:
         cfg = self.cfg
         snr_db = cfg.snr_grid_db[snr_idx]
@@ -442,8 +444,6 @@ class LinkSimulator:
             ]
             for res in results:
                 point.add(res.block_errors, res.blocks)
-                if papr_acc is not None:
-                    papr_acc.add(res.papr_db)
             if point.block_errors >= cfg.target_block_errors:
                 break
         return point
@@ -455,10 +455,9 @@ def run_sweep(cfg: RunConfig, threads: int = 1, log=None) -> dict[str, SweepResu
     out: dict[str, SweepResult] = {}
     with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
         for wf in cfg.waveforms:
-            acc = PaprAccumulator(np.asarray(cfg.papr_thresholds_db))
-            result = SweepResult(wf, [], acc)
+            result = SweepResult(wf)
             for i in range(len(cfg.snr_grid_db)):
-                point = sim.run_point(wf, i, ex, acc)
+                point = sim.run_point(wf, i, ex)
                 result.points.append(point)
                 if log:
                     log(
@@ -480,7 +479,7 @@ def run_papr(cfg: RunConfig, log=None) -> dict[str, SweepResult]:
             seed = trial_seed(cfg.master_seed, wf.label + "|papr", 0, t)
             _, stream, _ = sim.build_stream(wf, trial_generator(seed, "payload"))
             acc.add(papr_db(stream, cfg.papr_oversample))
-        out[wf.label] = SweepResult(wf, [], acc)
+        out[wf.label] = SweepResult(wf, papr=acc)
         if log:
             log(f"{wf.label}: {acc.frames} frames")
     return out
@@ -525,10 +524,8 @@ def write_papr_csv(path, results: dict[str, SweepResult]) -> None:
         w = csv.writer(fh)
         w.writerow(["waveform", "threshold_db", "ccdf"])
         for label, result in results.items():
-            if result.papr is None or result.papr.frames == 0:
-                continue
-            curve = result.papr.curve()
-            for thr, val in zip(curve.thresholds_db, curve.ccdf):
+            acc = result.papr
+            for thr, val in zip(acc.thresholds_db, acc.ccdf()):
                 w.writerow([label, f"{thr:g}", f"{val:.6g}"])
 
 

@@ -10,13 +10,15 @@ import numpy as np
 def papr_db(stream: np.ndarray, oversample: int = 1) -> float:
     """Peak-to-average power ratio of one transmit stream, in dB.
 
-    ``oversample`` > 1 interpolates the stream by zero-padded FFT before
-    measuring, exposing peaks that fall between samples.  Interpolation
-    preserves mean power.
+    ``oversample`` must be at least 1; above 1 the stream is interpolated
+    by zero-padded FFT before measuring, exposing peaks that fall between
+    samples.  Interpolation preserves mean power.
     """
     stream = np.asarray(stream).ravel()
     if stream.size == 0:
         raise ValueError("empty stream")
+    if oversample < 1:
+        raise ValueError("oversample must be at least 1")
     if oversample > 1:
         n = stream.size
         spec = np.fft.fft(stream)
@@ -31,15 +33,6 @@ def papr_db(stream: np.ndarray, oversample: int = 1) -> float:
         stream = np.fft.ifft(padded) * oversample
     power = np.abs(stream) ** 2
     return 10.0 * np.log10(power.max() / power.mean())
-
-
-@dataclass(frozen=True)
-class CcdfCurve:
-    """P(PAPR > threshold) sampled on a fixed threshold grid."""
-
-    thresholds_db: np.ndarray
-    ccdf: np.ndarray
-    frames: int
 
 
 @dataclass
@@ -59,12 +52,11 @@ class PaprAccumulator:
         self.exceed += value_db > self.thresholds_db
         self.frames += 1
 
-    def curve(self) -> CcdfCurve:
+    def ccdf(self) -> np.ndarray:
+        """P(PAPR > threshold) at each of ``thresholds_db``."""
         if self.frames == 0:
             raise ValueError("no frames accumulated")
-        return CcdfCurve(
-            self.thresholds_db.copy(), self.exceed / self.frames, self.frames
-        )
+        return self.exceed / self.frames
 
 
 def cp_snr_loss_db(body_samples: int, cp_samples: int) -> float:

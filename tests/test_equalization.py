@@ -140,6 +140,23 @@ def test_single_nonzero_delay_matches_combiner_rows(kind):
     assert np.ptp(out.noise_vars) > 0.1 * out.noise_vars.max()
 
 
+@pytest.mark.parametrize("kind", ["otfs", "block_ofdm"])
+def test_single_delay_above_the_exact_limit_stays_exact(monkeypatch, kind):
+    # a frame larger than the limit with one delay keeps the closed form
+    def probes(*args):
+        raise AssertionError("sign probes ran for a single-delay estimate")
+
+    monkeypatch.setattr(equalization, "EXACT_VARIANCE_LIMIT", 16)
+    monkeypatch.setattr(equalization, "_probe_noise_vars", probes)
+    taps = (PathTap(0.8 - 0.3j, 3, 1), PathTap(-0.4 + 0.5j, 3, -2))
+    ch = ChannelRealization(taps, 8, 4)
+    t = GridTransform(8, 4, kind)
+    out = lmmse_equalize(np.zeros(32), ch, t, noise_var=0.15)
+    np.testing.assert_allclose(
+        out.noise_vars, combiner_row_vars(ch, t, 0.15), rtol=1e-12
+    )
+
+
 def test_zero_gain_tap_gets_the_dense_floor():
     # noiseless and zero gain: only the ridge keeps the system solvable,
     # and every cell gets the variance floor rather than 0 / 0

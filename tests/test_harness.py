@@ -22,6 +22,7 @@ from otfsim.harness import (
     write_meta,
     write_papr_csv,
 )
+from otfsim.metrics import cp_snr_loss_db
 
 ALL_WAVEFORMS = (
     WaveformSpec("otfs"),
@@ -232,9 +233,9 @@ def test_adjust_cp_loss_shifts_noise_floor(monkeypatch):
         return apply_channel(tx, ch, rng, cp_samples=cp_samples, noise_var=noise_var)
 
     monkeypatch.setattr(harness, "apply_channel", spy)
-    for wf, overhead in (
-        (WaveformSpec("vsb_ofdm", 0), 69 / 64),
-        (WaveformSpec("otfs"), 1029 / 1024),
+    for wf, overhead, loss_db in (
+        (WaveformSpec("vsb_ofdm", 0), 69 / 64, cp_snr_loss_db(64, 5)),
+        (WaveformSpec("otfs"), 1029 / 1024, cp_snr_loss_db(1024, 5)),
     ):
         seen.clear()
         for adjust in (False, True):
@@ -243,9 +244,14 @@ def test_adjust_cp_loss_shifts_noise_floor(monkeypatch):
         off, on = seen
         assert off == 10.0 ** (-10.0 / 10.0)
         assert off / on == pytest.approx(overhead, rel=1e-12)
+        # the divisor is the prefix loss the metric states, in dB
+        assert 10 * np.log10(off / on) == pytest.approx(loss_db, rel=1e-12)
 
 
-@pytest.mark.parametrize("key", ["trials_per_point", "chunk_size", "variance_probes"])
+@pytest.mark.parametrize(
+    "key",
+    ["trials_per_point", "chunk_size", "variance_probes", "papr_frames", "papr_oversample"],
+)
 @pytest.mark.parametrize("value", [0, -4])
 def test_run_config_rejects_non_positive_trial_counts(key, value):
     with pytest.raises(ValueError):
@@ -253,3 +259,11 @@ def test_run_config_rejects_non_positive_trial_counts(key, value):
     with pytest.raises(ValueError):
         RunConfig.from_dict({**VSB_SWEEP.to_dict(), key: value})
     assert replace(VSB_SWEEP, **{key: 1}).to_dict()[key] == 1
+
+
+def test_run_config_rejects_negative_ldpc_max_iters():
+    with pytest.raises(ValueError):
+        RunConfig(ldpc_max_iters=-1)
+    with pytest.raises(ValueError):
+        RunConfig.from_dict({**VSB_SWEEP.to_dict(), "ldpc_max_iters": -1})
+    assert replace(VSB_SWEEP, ldpc_max_iters=0).to_dict()["ldpc_max_iters"] == 0

@@ -46,21 +46,23 @@ def test_oversampling_preserves_mean_power_and_raises_peaks():
         assert papr_db(s, oversample=4) >= papr_db(s) - 1e-12
     with pytest.raises(ValueError):
         papr_db(np.zeros(0))
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            papr_db(s, oversample=bad)
 
 
 def test_ccdf_from_known_values():
     acc = PaprAccumulator(np.array([4.0]))
     acc.add(3.0)
     acc.add(5.0)
-    curve = acc.curve()
-    assert curve.frames == 2
-    np.testing.assert_allclose(curve.ccdf, [0.5])
+    assert acc.frames == 2
+    np.testing.assert_allclose(acc.ccdf(), [0.5])
     # threshold hits count only strict exceedance
     acc2 = PaprAccumulator(np.array([4.0]))
     acc2.add(4.0)
-    np.testing.assert_allclose(acc2.curve().ccdf, [0.0])
+    np.testing.assert_allclose(acc2.ccdf(), [0.0])
     with pytest.raises(ValueError):
-        PaprAccumulator(np.array([4.0])).curve()
+        PaprAccumulator(np.array([4.0])).ccdf()
 
 
 def test_ccdf_monotone_non_increasing():
@@ -70,7 +72,7 @@ def test_ccdf_monotone_non_increasing():
     for _ in range(500):
         s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         acc.add(papr_db(s))
-    ccdf = acc.curve().ccdf
+    ccdf = acc.ccdf()
     assert np.all(np.diff(ccdf) <= 0)
     assert 0.0 <= ccdf[-1] <= ccdf[0] <= 1.0
 
