@@ -14,6 +14,13 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="results", help="output directory")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otfsim",
@@ -23,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="BLER sweep over the configured SNR grid")
     _add_config(run)
-    run.add_argument("--threads", type=int, default=1, help="worker threads")
+    run.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
 
     papr = sub.add_parser("papr", help="transmit-only PAPR CCDF measurement")
     _add_config(papr)

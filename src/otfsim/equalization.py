@@ -16,9 +16,10 @@ Cholesky factor serves the payload solve and the variances, with no
 wrap-around correction.  An estimate with one distinct delay (every
 desk-scale channel) makes G G^H + rho I diagonal, and its exact
 variances, at any frame size, reduce to per-sample powers pooled into
-grid cells in O(MN).  With more delays the variances are the dense
-column norms up to ``EXACT_VARIANCE_LIMIT`` samples; beyond the limit
-seeded random sign probes estimate them, all probes solved as one block.
+grid cells in O(MN).  With more delays one diagonal estimator gives
+them, probing the combiner with a block of columns Z solved together:
+Z = I, which makes it exact, up to ``EXACT_VARIANCE_LIMIT`` samples, and
+seeded random signs beyond the limit.
 
 The narrowband-OFDM waveform uses per-cell division by the estimated
 gain with effective noise sigma_v^2 / |h|^2; cells whose estimate sits
@@ -42,10 +43,10 @@ from .transforms import GridTransform
 VAR_FLOOR = 1e-30
 # |estimate| below this flags the cell as an erasure
 FADE_FLOOR = 1e-12
-# exact variances of a multi-delay estimate solve against the dense
-# n-by-n H: a complex array of 16 n^2 bytes, 64 MB at n = 2048 and 268 MB
-# at 4096; beyond, probes estimate them (a single-delay estimate needs O(n)
-# at any size)
+# exact variances of a multi-delay estimate probe with the n-by-n identity,
+# and each pass holds a few complex n-by-n blocks of 16 n^2 bytes, 64 MB at
+# n = 2048 and 268 MB at 4096; beyond, sign probes estimate them (a
+# single-delay estimate needs O(n) at any size)
 EXACT_VARIANCE_LIMIT = 2048
 # a Cholesky pivot (squared diagonal) this far below the largest marks
 # the system singular
@@ -159,27 +160,6 @@ def _factor(ch: ChannelRealization, rho: float) -> BandFactor:
     return BandFactor(order, cholesky_banded(ab, lower=True))
 
 
-def _exact_noise_vars(
-    ch: ChannelRealization, transform: GridTransform, factor: BandFactor, noise_var: float
-) -> np.ndarray:
-    """sigma_n^2 * squared column norms of (H H^H + rho I)^{-1} H A.
-
-    The dense H is laid out from the folded diagonals.  Right-multiplying
-    by A is done through the adjoint transform on the conjugate
-    transpose, so no dense A is formed; the columns of B A are the rows of
-    its conjugate transpose.
-    """
-    n = ch.block_len
-    u = np.arange(n)
-    h = np.zeros((n, n), dtype=complex)
-    for l, c in zip(*ch.folded_diagonals):
-        h[u, (u - l) % n] = c
-    b = factor.solve(h)
-    ba_hermitian = transform.adjoint(b.conj().T)
-    col_norms_sq = np.sum(np.abs(ba_hermitian) ** 2, axis=1)
-    return np.maximum(noise_var * col_norms_sq, VAR_FLOOR)
-
-
 def _diagonal_noise_vars(
     ch: ChannelRealization, transform: GridTransform, factor: BandFactor, noise_var: float
 ) -> np.ndarray:
@@ -197,30 +177,37 @@ def _diagonal_noise_vars(
     return np.maximum(noise_var * transform.adjoint_power(q), VAR_FLOOR)
 
 
-def _probe_noise_vars(
+def _sign_probes(n: int, probes: int, probe_seed: int) -> np.ndarray:
+    """``probes`` columns of seeded random signs, drawn one after another."""
+    rng = np.random.default_rng(probe_seed)
+    return np.stack([rng.integers(0, 2, size=n) * 2.0 - 1.0 for _ in range(probes)], axis=1)
+
+
+def _probed_noise_vars(
     ch: ChannelRealization,
     transform: GridTransform,
     factor: BandFactor,
     noise_var: float,
-    probes: int,
-    probe_seed: int,
+    z: np.ndarray,
 ) -> np.ndarray:
-    """Stochastic diagonal estimate of the combining-matrix Gram.
+    """sigma_n^2 times the diagonal of M^H M, estimated with probe columns z.
 
-    Averages conj(z) * (M^H M z) over random sign probes z, where
-    M = (H H^H + rho I)^{-1} H A; unbiased with relative error shrinking
-    like 1/sqrt(probes).  The probes are drawn one after another and
-    solved as one block of columns.
+    M = (H H^H + rho I)^{-1} H A is the combining matrix's conjugate
+    transpose.  The diagonal estimator of Bekas, Kokiopoulou and Saad
+    (2007), sum_k conj(z_k) * (M^H M z_k) over sum_k |z_k|^2, is exact for
+    z = I (squared column norms of M) and unbiased for random signs, with
+    relative error shrinking like 1/sqrt(probes).  All columns are solved
+    as one block.  The sums run column by column in probe order, which
+    fixes how a sign draw rounds.
     """
-    n = transform.size
-    rng = np.random.default_rng(probe_seed)
-    z = np.stack([rng.integers(0, 2, size=n) * 2.0 - 1.0 for _ in range(probes)], axis=1)
     mz = factor.solve(chan.apply_channel_operator(ch, transform.apply(z)))
     mhmz = transform.adjoint(chan.apply_channel_operator_adjoint(ch, factor.solve(mz)))
-    acc = np.zeros(n)
-    for j in range(probes):
-        acc += np.real(np.conj(z[:, j]) * mhmz[:, j])
-    return np.maximum(noise_var * (acc / probes), VAR_FLOOR)
+    num = np.zeros(transform.size)
+    den = np.zeros(transform.size)
+    for j in range(z.shape[1]):
+        num += np.real(np.conj(z[:, j]) * mhmz[:, j])
+        den += np.abs(z[:, j]) ** 2
+    return np.maximum(noise_var * (num / den), VAR_FLOOR)
 
 
 def lmmse_equalize(
@@ -235,10 +222,10 @@ def lmmse_equalize(
 
     The data symbols are taken to have unit power.  Per-symbol variances
     are exact in closed form at any size when the estimate has one
-    distinct delay.  With more delays they are exact up to
-    ``EXACT_VARIANCE_LIMIT`` samples and estimated with
-    ``variance_probes`` (at least 1) random sign probes, drawn from
-    ``probe_seed``, beyond.
+    distinct delay.  With more delays the diagonal estimator probes with
+    the identity up to ``EXACT_VARIANCE_LIMIT`` samples, which is exact,
+    and with ``variance_probes`` (at least 1) random sign columns, drawn
+    from ``probe_seed``, beyond.
     """
     r_body = np.asarray(r_body, dtype=complex).ravel()
     n = transform.size
@@ -254,12 +241,10 @@ def lmmse_equalize(
     factor = _factor(ch, noise_var)
     if len(ch.folded_diagonals[0]) == 1:
         noise_vars = _diagonal_noise_vars(ch, transform, factor, noise_var)
-    elif n > EXACT_VARIANCE_LIMIT:
-        noise_vars = _probe_noise_vars(
-            ch, transform, factor, noise_var, variance_probes, probe_seed
-        )
     else:
-        noise_vars = _exact_noise_vars(ch, transform, factor, noise_var)
+        exact = n <= EXACT_VARIANCE_LIMIT
+        z = np.eye(n) if exact else _sign_probes(n, variance_probes, probe_seed)
+        noise_vars = _probed_noise_vars(ch, transform, factor, noise_var, z)
     symbols = transform.adjoint(
         chan.apply_channel_operator_adjoint(ch, factor.solve(r_body))
     )

@@ -137,7 +137,8 @@ def ofdm_estimate(
     Per-cell estimates at the reference symbols, delay-domain
     least-squares interpolation along frequency within each
     reference-bearing symbol, then linear interpolation along time with
-    edge columns held.  ``num_delay_taps`` bounds the assumed delay
+    edge columns held.  ``rs_grid`` is the transmitted grid; only its
+    reference cells are read.  ``num_delay_taps`` bounds the assumed delay
     support (the per-symbol prefix length is the natural choice).
     """
     y = np.asarray(y, dtype=complex)

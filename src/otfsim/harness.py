@@ -123,6 +123,10 @@ class RunConfig:
             raise ValueError("papr_frames and papr_oversample must be at least 1")
         if self.ldpc_max_iters < 0:
             raise ValueError("ldpc_max_iters must be non-negative")
+        if self.target_block_errors < 1:
+            raise ValueError("target_block_errors must be at least 1")
+        if self.min_sum_scale <= 0:
+            raise ValueError("min_sum_scale must be positive")
 
     @property
     def frame(self) -> FrameParams:
@@ -306,15 +310,16 @@ class LinkSimulator:
     def build_stream(self, wf: WaveformSpec, payload_rng: np.random.Generator):
         """One unscaled transmit stream plus what the receiver will need.
 
-        Returns ``(msg, stream, rs_symbols)``; the reference symbols are
-        None for the delay-Doppler waveforms.
+        Returns ``(msg, stream, grid)``: the placed VSB-OFDM grid, whose
+        reference cells the receiver's estimator reads, or None for the
+        delay-Doppler waveforms.
         """
         if wf.kind == "vsb_ofdm":
             geom = self.vsb[wf.mu]
             msg, data = self._draw_payload(payload_rng, geom.data_idx.size)
             rs = qpsk_symbols(geom.n_rs, payload_rng)
             grid = place_ofdm_frame(data, rs, self.params, wf.mu)
-            return msg, vsb_modulate(grid, self.params, wf.mu), rs
+            return msg, vsb_modulate(grid, self.params, wf.mu), grid
         msg, data = self._draw_payload(payload_rng, self.dd_data_idx.size)
         grid = place_otfs_frame(data, self.pilot, self.params)
         body = self.transforms[wf.kind].apply(grid.ravel(order="F"))
@@ -355,7 +360,7 @@ class LinkSimulator:
         ch = channel
         if ch is None:
             ch = sample_channel(self.profile, self.params, cfg.nu_max_hz, ch_rng)
-        msg, stream, rs = self.build_stream(wf, payload_rng)
+        msg, stream, tx_grid = self.build_stream(wf, payload_rng)
         scale = self._energy_scale(stream)
         tx = stream * scale
         noise_var = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
@@ -368,10 +373,7 @@ class LinkSimulator:
             geom = self.vsb[wf.mu]
             r = apply_channel(tx, ch, noise_rng, cp_samples=geom.cp_len, noise_var=noise_var)
             y = vsb_demodulate(r / scale, self.params, wf.mu)
-            rs_grid = place_ofdm_frame(
-                np.zeros(geom.data_idx.size), rs, self.params, wf.mu
-            )
-            h_est = ofdm_estimate(y, rs_grid, geom.roles, nv_eff, geom.cp_len)
+            h_est = ofdm_estimate(y, tx_grid, geom.roles, nv_eff, geom.cp_len)
             eq = single_tap_equalize(y, h_est, nv_eff).select(geom.data_idx)
         else:
             cp = self.params.cp_samples
@@ -451,9 +453,11 @@ class LinkSimulator:
 
 def run_sweep(cfg: RunConfig, threads: int = 1, log=None) -> dict[str, SweepResult]:
     """BLER over the SNR grid for every configured waveform."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     sim = LinkSimulator(cfg)
     out: dict[str, SweepResult] = {}
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
+    with ThreadPoolExecutor(max_workers=threads) as ex:
         for wf in cfg.waveforms:
             result = SweepResult(wf)
             for i in range(len(cfg.snr_grid_db)):

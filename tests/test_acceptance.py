@@ -398,8 +398,8 @@ def test_criterion_9_lmmse_correctness():
             for _ in range(3)
         )
         ch = ChannelRealization(taps, m, n)
-        # two or more delays take the dense variance path, one delay the
-        # closed form; these draws cover both
+        # two or more delays take the diagonal estimator with identity
+        # probes, one delay the closed form; these draws cover both
         multi_delay += len(set(ch.delay_bins.tolist())) >= 2
         t = GridTransform(m, n, "otfs")
         r = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)

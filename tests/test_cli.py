@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from otfsim import cli
 from otfsim.harness import (
     RunConfig,
@@ -34,6 +36,17 @@ def test_run_writes_what_the_sweep_gives(tmp_path):
     assert not (out / "papr.csv").exists()
     meta = json.loads((out / "meta.json").read_text())
     assert meta["config_sha256"] == TINY.config_hash()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_run_rejects_threads_below_one(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    argv = ["run", "--config", _write_config(tmp_path), "--out", str(out), "--threads", threads]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_papr_writes_what_the_measurement_gives(tmp_path):

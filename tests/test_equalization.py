@@ -17,10 +17,10 @@ from otfsim.equalization import (
     VAR_FLOOR,
     EqualizedFrame,
     _diagonal_noise_vars,
-    _exact_noise_vars,
     _factor,
     _lower_band,
-    _probe_noise_vars,
+    _probed_noise_vars,
+    _sign_probes,
     compute_llrs,
     fold_order,
     lmmse_equalize,
@@ -94,10 +94,24 @@ def test_dense_noise_vars_match_combiner_rows():
     rng = np.random.default_rng(2)
     m, n = 8, 4
     ch = random_channel(rng, m, n)
-    assert distinct_delays(ch) >= 2  # takes the dense path
+    assert distinct_delays(ch) >= 2  # takes the identity probes
     t = GridTransform(m, n, "otfs")
     out = lmmse_equalize(np.zeros(32), ch, t, noise_var=0.2)
     np.testing.assert_allclose(out.noise_vars, combiner_row_vars(ch, t, 0.2), atol=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(8, 4), (16, 8)])
+@pytest.mark.parametrize("kind", ["otfs", "block_ofdm"])
+def test_identity_probes_match_combiner_rows(kind, m, n):
+    # below the exact limit a multi-delay estimate is probed with Z = I
+    rng = np.random.default_rng(m * n)
+    ch = random_channel(rng, m, n, n_taps=4)
+    assert distinct_delays(ch) >= 2
+    t = GridTransform(m, n, kind)
+    out = lmmse_equalize(np.zeros(m * n), ch, t, noise_var=0.2)
+    np.testing.assert_allclose(
+        out.noise_vars, combiner_row_vars(ch, t, 0.2), rtol=1e-12
+    )
 
 
 @pytest.mark.parametrize("kind", ["otfs", "block_ofdm"])
@@ -111,17 +125,17 @@ def test_diagonal_noise_vars_match_dense_on_desk_draws(kind):
         assert distinct_delays(ch) == 1
         nv = 10 ** rng.uniform(-3, 0)
         lu = _factor(ch, nv)
-        dense = _exact_noise_vars(ch, t, lu, nv)
-        np.testing.assert_allclose(_diagonal_noise_vars(ch, t, lu, nv), dense, rtol=1e-12)
+        exact = _probed_noise_vars(ch, t, lu, nv, np.eye(t.size))
+        np.testing.assert_allclose(_diagonal_noise_vars(ch, t, lu, nv), exact, rtol=1e-12)
         out = lmmse_equalize(np.zeros(t.size), ch, t, nv)
-        np.testing.assert_allclose(out.noise_vars, dense, rtol=1e-12)
+        np.testing.assert_allclose(out.noise_vars, exact, rtol=1e-12)
 
 
 def test_single_delay_skips_the_dense_path(monkeypatch):
     def dense_path(*args):
-        raise AssertionError("dense variances computed for a single-delay estimate")
+        raise AssertionError("probe variances computed for a single-delay estimate")
 
-    monkeypatch.setattr(equalization, "_exact_noise_vars", dense_path)
+    monkeypatch.setattr(equalization, "_probed_noise_vars", dense_path)
     ch = ChannelRealization((PathTap(0.8, 2, 1), PathTap(0.3j, 34, 0)), 8, 4)
     out = lmmse_equalize(np.zeros(32), ch, GridTransform(8, 4, "otfs"), 0.1)
     assert np.all(out.noise_vars > 0)
@@ -147,7 +161,7 @@ def test_single_delay_above_the_exact_limit_stays_exact(monkeypatch, kind):
         raise AssertionError("sign probes ran for a single-delay estimate")
 
     monkeypatch.setattr(equalization, "EXACT_VARIANCE_LIMIT", 16)
-    monkeypatch.setattr(equalization, "_probe_noise_vars", probes)
+    monkeypatch.setattr(equalization, "_probed_noise_vars", probes)
     taps = (PathTap(0.8 - 0.3j, 3, 1), PathTap(-0.4 + 0.5j, 3, -2))
     ch = ChannelRealization(taps, 8, 4)
     t = GridTransform(8, 4, kind)
@@ -166,7 +180,9 @@ def test_zero_gain_tap_gets_the_dense_floor():
         out = lmmse_equalize(np.ones(32), ch, t, noise_var=0.0)
         lu = _factor(ch, 0.0)
     assert np.all(np.isfinite(out.noise_vars))
-    np.testing.assert_array_equal(out.noise_vars, _exact_noise_vars(ch, t, lu, 0.0))
+    np.testing.assert_array_equal(
+        out.noise_vars, _probed_noise_vars(ch, t, lu, 0.0, np.eye(32))
+    )
 
 
 def test_zero_forcing_limit():
@@ -182,14 +198,14 @@ def test_zero_forcing_limit():
 
 
 def test_stochastic_variances_track_exact():
-    # frames this small get exact variances; the probe estimator that
-    # larger frames use is called directly on the same factor
+    # frames this small get exact variances (Z = I); the sign probes that
+    # larger frames use are passed directly on the same factor
     rng = np.random.default_rng(5)
     m, n = 16, 8
     ch = random_channel(rng, m, n, n_taps=4)
     t = GridTransform(m, n, "otfs")
     exact = lmmse_equalize(np.zeros(128), ch, t, noise_var=0.25).noise_vars
-    est = _probe_noise_vars(ch, t, _factor(ch, 0.25), 0.25, probes=64, probe_seed=9)
+    est = _probed_noise_vars(ch, t, _factor(ch, 0.25), 0.25, _sign_probes(128, 64, 9))
     ratio = est / exact
     assert np.median(np.abs(ratio - 1.0)) < 0.4
     assert abs(np.mean(est) / np.mean(exact) - 1.0) < 0.1
@@ -309,7 +325,7 @@ def test_batched_probes_equal_a_probe_by_probe_loop():
         mhmz = t.adjoint(apply_channel_operator_adjoint(ch, factor.solve(mz)))
         acc += np.real(np.conj(z) * mhmz)
     want = np.maximum(nv * acc / probes, VAR_FLOOR)
-    got = _probe_noise_vars(ch, t, factor, nv, probes, seed)
+    got = _probed_noise_vars(ch, t, factor, nv, _sign_probes(t.size, probes, seed))
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 

@@ -22,7 +22,9 @@ from otfsim.harness import (
     write_meta,
     write_papr_csv,
 )
+from otfsim.grid import CELL_RS
 from otfsim.metrics import cp_snr_loss_db
+from otfsim.ofdm import vsb_demodulate
 
 ALL_WAVEFORMS = (
     WaveformSpec("otfs"),
@@ -153,6 +155,12 @@ def test_sweep_is_thread_count_invariant(tmp_path):
     assert files[0] == files[1]
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_sweep_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="threads"):
+        run_sweep(VSB_SWEEP, threads=threads)
+
+
 def test_trials_are_independent_of_execution_order():
     # one simulator runs the same trials forward and shuffled: no state
     # (channel matrix, solver factor, generator) may leak between trials
@@ -267,3 +275,31 @@ def test_run_config_rejects_negative_ldpc_max_iters():
     with pytest.raises(ValueError):
         RunConfig.from_dict({**VSB_SWEEP.to_dict(), "ldpc_max_iters": -1})
     assert replace(VSB_SWEEP, ldpc_max_iters=0).to_dict()["ldpc_max_iters"] == 0
+
+
+@pytest.mark.parametrize(
+    "key, bad, good",
+    [
+        ("target_block_errors", 0, 1),
+        ("target_block_errors", -5, 1),
+        ("min_sum_scale", 0.0, 1e-3),
+        ("min_sum_scale", -0.75, 1e-3),
+    ],
+)
+def test_run_config_rejects_bad_stop_target_and_min_sum_scale(key, bad, good):
+    with pytest.raises(ValueError, match=key):
+        RunConfig(**{key: bad})
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_dict({**VSB_SWEEP.to_dict(), key: bad})
+    assert replace(VSB_SWEEP, **{key: good}).to_dict()[key] == good
+
+
+def test_vsb_stream_returns_its_placed_grid():
+    # the receiver estimates from this grid's reference cells
+    sim = LinkSimulator(VSB_SWEEP)
+    wf = WaveformSpec("vsb_ofdm", 0)
+    _, stream, grid = sim.build_stream(wf, np.random.default_rng(3))
+    np.testing.assert_allclose(vsb_demodulate(stream, sim.params, 0), grid, atol=1e-12)
+    rs = grid[sim.vsb[0].roles == CELL_RS]
+    assert rs.size == sim.vsb[0].n_rs
+    np.testing.assert_allclose(np.abs(rs), 1.0, rtol=1e-12)
