@@ -218,6 +218,11 @@ def data_cell_indices(roles: np.ndarray) -> np.ndarray:
     return np.flatnonzero(roles.ravel(order="F") == CELL_DATA)
 
 
+def _frames_of(flat: np.ndarray, roles: np.ndarray) -> np.ndarray:
+    """View flat column-major frames (last axis) as grids shaped like ``roles``."""
+    return flat.reshape(flat.shape[:-1] + roles.shape[::-1]).swapaxes(-1, -2)
+
+
 def place_otfs_frame(
     data: np.ndarray, cfg: PilotConfig, params: FrameParams
 ) -> np.ndarray:
@@ -225,18 +230,20 @@ def place_otfs_frame(
 
     ``data`` must hold exactly ``M*N - (4 k_nu + 1)(2 l_tau + 1)`` symbols
     of unit mean power; they fill the data cells column-major (delay
-    fastest).  The pilot amplitude is ``10**(boost_db / 20)``.
+    fastest).  The pilot amplitude is ``10**(boost_db / 20)``.  A
+    ``(frames, symbols)`` batch gives a ``(frames, M, N)`` stack; every
+    frame is column-major in memory, so ``swapaxes(-1, -2)`` of the
+    result reshapes to flat column-major vectors without a copy.
     """
     roles = otfs_roles(params, cfg)
     idx = data_cell_indices(roles)
-    data = np.asarray(data, dtype=complex).ravel()
-    if data.size != idx.size:
-        raise ValueError(f"expected {idx.size} data symbols, got {data.size}")
-    flat = np.zeros(roles.size, dtype=complex)
-    flat[idx] = data
-    values = flat.reshape(roles.shape, order="F")
-    values[cfg.l_p, cfg.k_p] = cfg.amplitude_for_unit_data
-    return values
+    data = np.asarray(data, dtype=complex)
+    if data.shape[-1:] != (idx.size,):
+        raise ValueError(f"expected {idx.size} data symbols, got shape {data.shape}")
+    flat = np.zeros(data.shape[:-1] + (roles.size,), dtype=complex)
+    flat[..., idx] = data
+    flat[..., cfg.k_p * params.num_delay_bins + cfg.l_p] = cfg.amplitude_for_unit_data
+    return _frames_of(flat, roles)
 
 
 def _prb_origins(n_sc: int, n_sym: int):
@@ -273,24 +280,25 @@ def place_ofdm_frame(
     ``data`` must hold ``160 * num_prb`` symbols and ``rs_symbols``
     ``8 * num_prb`` unit-magnitude references.  Both fill their cells
     column-major over the whole grid (subcarrier fastest, then symbol);
-    cells outside any whole resource block stay zero.
+    cells outside any whole resource block stay zero.  A batch of
+    ``(frames, symbols)`` rows gives a ``(frames, subcarriers, symbols)``
+    stack, each frame column-major in memory.
     """
     roles = ofdm_roles(params, mu)
     flat_roles = roles.ravel(order="F")
-    flat = np.zeros(roles.size, dtype=complex)
+    data = np.asarray(data, dtype=complex)
+    flat = np.zeros(data.shape[:-1] + (roles.size,), dtype=complex)
     for name, symbols, role in (
         ("data", data, CELL_DATA),
         ("reference", rs_symbols, CELL_RS),
     ):
         cells = flat_roles == role
-        symbols = np.asarray(symbols, dtype=complex).ravel()
-        if symbols.size != np.count_nonzero(cells):
-            raise ValueError(
-                f"expected {np.count_nonzero(cells)} {name} symbols,"
-                f" got {symbols.size}"
-            )
-        flat[cells] = symbols
-    return flat.reshape(roles.shape, order="F")
+        symbols = np.asarray(symbols, dtype=complex)
+        want = data.shape[:-1] + (int(np.count_nonzero(cells)),)
+        if symbols.shape != want:
+            raise ValueError(f"expected {want} {name} symbols, got {symbols.shape}")
+        flat[..., cells] = symbols
+    return _frames_of(flat, roles)
 
 
 def equal_total_pilot_power_boost_db(params: FrameParams, mu: int = 0) -> float:

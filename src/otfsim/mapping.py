@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +35,13 @@ class Constellation:
             raise ValueError(
                 f"bit stream length {bit_stream.size} is not a multiple of {k}"
             )
-        groups = bit_stream.reshape(-1, k)
-        idx = groups @ (1 << np.arange(k - 1, -1, -1))
-        return self.points[idx]
+        # MSB-first labels in the smallest integer type that holds them; an
+        # int64 label array would be a batch's largest temporary
+        labels = np.zeros(bit_stream.size // k, dtype=np.min_scalar_type(self.points.size - 1))
+        for column in bit_stream.reshape(-1, k).T:
+            labels <<= 1
+            labels |= column
+        return self.points[labels]
 
     def hard_bits(self, symbols: np.ndarray) -> np.ndarray:
         """Nearest-point decision, returned as a flat 0/1 array."""
@@ -70,17 +75,23 @@ def square_qam(order: int, name: str | None = None) -> Constellation:
     q_bits = labels & (n_axis - 1)
     points = (axis[i_bits] + 1j * axis[q_bits]) / scale
     bits = ((labels[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
+    points.flags.writeable = False
+    bits.flags.writeable = False
     return Constellation(name or f"{order}qam", points, bits)
 
 
+# Each named constellation is built once and shared; its arrays are read-only.
+@functools.cache
 def qpsk() -> Constellation:
     return square_qam(4, "qpsk")
 
 
+@functools.cache
 def qam16() -> Constellation:
     return square_qam(16, "16qam")
 
 
+@functools.cache
 def qam64() -> Constellation:
     return square_qam(64, "64qam")
 

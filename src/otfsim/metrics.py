@@ -7,32 +7,40 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def papr_db(stream: np.ndarray, oversample: int = 1) -> float:
-    """Peak-to-average power ratio of one transmit stream, in dB.
+def papr_db(stream: np.ndarray, oversample: int = 1) -> float | np.ndarray:
+    """Peak-to-average power ratio of transmit streams, in dB.
 
-    ``oversample`` must be at least 1; above 1 the stream is interpolated
-    by zero-padded FFT before measuring, exposing peaks that fall between
-    samples.  Interpolation preserves mean power.
+    A 1-D stream gives one float.  A ``(frames, samples)`` array gives
+    one value per row, each equal to the 1-D call on that row: every
+    reduction runs along C-contiguous rows, whatever the input's layout.
+    ``oversample`` must be at least 1; above 1 each stream is
+    interpolated by zero-padded FFT before measuring, exposing peaks that
+    fall between samples.  Interpolation preserves mean power.
     """
-    stream = np.asarray(stream).ravel()
-    if stream.size == 0:
+    stream = np.asarray(stream)
+    if stream.ndim not in (1, 2):
+        raise ValueError("expected one stream or a (frames, samples) array")
+    if stream.shape[-1] == 0:
         raise ValueError("empty stream")
     if oversample < 1:
         raise ValueError("oversample must be at least 1")
+    rows = np.ascontiguousarray(stream.reshape(-1, stream.shape[-1]))
     if oversample > 1:
-        n = stream.size
-        spec = np.fft.fft(stream)
-        padded = np.zeros(n * oversample, dtype=complex)
+        n = rows.shape[1]
+        spec = np.fft.fft(rows, axis=1)
+        padded = np.zeros((rows.shape[0], n * oversample), dtype=complex)
         half = n // 2
-        padded[:half] = spec[:half]
-        padded[-(n - half) :] = spec[half:]
+        padded[:, :half] = spec[:, :half]
+        padded[:, -(n - half) :] = spec[:, half:]
         if n % 2 == 0:
             # split the Nyquist bin symmetrically
-            padded[half] = spec[half] / 2
-            padded[-half] = spec[half] / 2
-        stream = np.fft.ifft(padded) * oversample
-    power = np.abs(stream) ** 2
-    return 10.0 * np.log10(power.max() / power.mean())
+            padded[:, half] = spec[:, half] / 2
+            padded[:, -half] = spec[:, half] / 2
+        rows = np.fft.ifft(padded, axis=1) * oversample
+    power = np.abs(rows)
+    power *= power
+    ratio = 10.0 * np.log10(power.max(axis=1) / power.mean(axis=1))
+    return float(ratio[0]) if stream.ndim == 1 else ratio
 
 
 @dataclass
@@ -48,9 +56,11 @@ class PaprAccumulator:
         if self.exceed is None:
             self.exceed = np.zeros(self.thresholds_db.size, dtype=np.int64)
 
-    def add(self, value_db: float) -> None:
-        self.exceed += value_db > self.thresholds_db
-        self.frames += 1
+    def add(self, values_db) -> None:
+        """Tally one frame's PAPR, or an array of per-frame values."""
+        values = np.asarray(values_db, dtype=float).reshape(-1, 1)
+        self.exceed += (values > self.thresholds_db).sum(axis=0)
+        self.frames += values.shape[0]
 
     def ccdf(self) -> np.ndarray:
         """P(PAPR > threshold) at each of ``thresholds_db``."""

@@ -15,16 +15,23 @@ from .grid import FrameParams, derive_vsb_dims
 
 
 def ofdm_modulate(grid: np.ndarray, cp_len: int) -> np.ndarray:
-    """Unitary-IFFT each symbol column and prepend its cyclic prefix."""
+    """Unitary-IFFT each symbol column and prepend its cyclic prefix.
+
+    ``grid`` is subcarriers by symbols, or a stack of such grids behind
+    leading frame axes; each frame becomes one stream along the last
+    axis, symbol after symbol.
+    """
     grid = np.asarray(grid, dtype=complex)
-    if grid.ndim != 2:
+    if grid.ndim < 2:
         raise ValueError("expected a subcarriers-by-symbols grid")
-    n_sc = grid.shape[0]
+    n_sc, n_sym = grid.shape[-2:]
     if not 0 <= cp_len <= n_sc:
         raise ValueError("prefix longer than the symbol body")
-    bodies = np.fft.ifft(grid, axis=0, norm="ortho")
-    frames = np.concatenate([bodies[n_sc - cp_len :, :], bodies], axis=0)
-    return frames.ravel(order="F")
+    # one symbol a row: its prefix, then its body, which the IFFT writes in place
+    symbols = np.empty(grid.shape[:-2] + (n_sym, cp_len + n_sc), dtype=complex)
+    np.fft.ifft(grid.swapaxes(-1, -2), axis=-1, norm="ortho", out=symbols[..., cp_len:])
+    symbols[..., :cp_len] = symbols[..., n_sc:]
+    return symbols.reshape(grid.shape[:-2] + (-1,))
 
 
 def ofdm_demodulate(
@@ -40,10 +47,10 @@ def ofdm_demodulate(
 
 
 def vsb_modulate(grid: np.ndarray, params: FrameParams, mu: int) -> np.ndarray:
-    """Modulate a numerology-``mu`` grid sized for ``params``."""
+    """Modulate a numerology-``mu`` grid (or a stack of them) sized for ``params``."""
     n_sc, n_sym, cp_len = derive_vsb_dims(params, mu)
     grid = np.asarray(grid, dtype=complex)
-    if grid.shape != (n_sc, n_sym):
+    if grid.shape[-2:] != (n_sc, n_sym):
         raise ValueError(f"expected a {n_sc}x{n_sym} grid, got {grid.shape}")
     return ofdm_modulate(grid, cp_len)
 

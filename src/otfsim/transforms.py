@@ -46,13 +46,19 @@ def deinterleave(s: np.ndarray, num_delay_bins: int, num_doppler_bins: int) -> n
 
 
 def add_cp(s: np.ndarray, cp_samples: int) -> np.ndarray:
-    """Prepend the last ``cp_samples`` samples as a cyclic prefix."""
+    """Prepend the last ``cp_samples`` samples as a cyclic prefix.
+
+    Streams run along the last axis, so a ``(frames, samples)`` batch
+    gets one prefix per row; the result is always C-contiguous.
+    """
     s = np.asarray(s)
-    if cp_samples < 0 or cp_samples > s.size:
-        raise ValueError(f"prefix length {cp_samples} outside [0, {s.size}]")
-    if cp_samples == 0:
-        return s.copy()
-    return np.concatenate([s[-cp_samples:], s])
+    n = s.shape[-1]
+    if cp_samples < 0 or cp_samples > n:
+        raise ValueError(f"prefix length {cp_samples} outside [0, {n}]")
+    out = np.empty(s.shape[:-1] + (cp_samples + n,), dtype=s.dtype)
+    out[..., :cp_samples] = s[..., n - cp_samples :]
+    out[..., cp_samples:] = s
+    return out
 
 
 def remove_cp(r: np.ndarray, cp_samples: int) -> np.ndarray:
@@ -107,7 +113,9 @@ class GridTransform:
         """Grid vector(s) to time samples; columns are independent."""
         v, squeeze = self._as_batch(x)
         m, n, k = self.num_delay_bins, self.num_doppler_bins, v.shape[1]
-        rows = np.fft.ifft(v.reshape(m, n, k, order="F"), axis=1, norm="ortho")
+        # laid out in read-out order, so the read-out is a view
+        rows = np.empty((m, n, k), dtype=complex, order=self.order)
+        np.fft.ifft(v.reshape(m, n, k, order="F"), axis=1, norm="ortho", out=rows)
         out = rows.reshape(m * n, k, order=self.order)
         return out[:, 0] if squeeze else out
 

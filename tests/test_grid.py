@@ -188,3 +188,25 @@ def test_place_extract_inverse_across_guard_sizes(k_nu, l_tau):
     grid = place_otfs_frame(data, cfg, DESK)
     idx = data_cell_indices(otfs_roles(DESK, cfg))
     np.testing.assert_array_equal(grid.ravel(order="F")[idx], data)
+
+
+def test_placing_a_batch_places_each_frame():
+    rng = np.random.default_rng(11)
+    cfg = PilotConfig.centered(DESK, 3, 1)
+    n_data = 64 * 16 - guard_cell_count(cfg)
+    data = rng.standard_normal((3, n_data)) + 1j * rng.standard_normal((3, n_data))
+    stack = place_otfs_frame(data, cfg, DESK)
+    assert stack.shape == (3, 64, 16)
+    # each frame is column-major, so its flat vector is a view
+    assert np.shares_memory(stack.swapaxes(1, 2).reshape(3, -1), stack)
+    for f in range(3):
+        np.testing.assert_array_equal(stack[f], place_otfs_frame(data[f], cfg, DESK))
+
+    data = rng.standard_normal((2, 800)) + 1j * rng.standard_normal((2, 800))
+    rs = np.exp(2j * np.pi * rng.random((2, 40)))
+    stack = place_ofdm_frame(data, rs, DESK, 0)
+    assert stack.shape == (2,) + ofdm_roles(DESK, 0).shape
+    for f in range(2):
+        np.testing.assert_array_equal(stack[f], place_ofdm_frame(data[f], rs[f], DESK, 0))
+    with pytest.raises(ValueError):
+        place_ofdm_frame(data, rs[0], DESK, 0)

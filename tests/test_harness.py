@@ -22,9 +22,11 @@ from otfsim.harness import (
     write_meta,
     write_papr_csv,
 )
-from otfsim.grid import CELL_RS
-from otfsim.metrics import cp_snr_loss_db
-from otfsim.ofdm import vsb_demodulate
+from otfsim.grid import CELL_RS, place_ofdm_frame, place_otfs_frame
+from otfsim.mapping import qpsk_symbols
+from otfsim.metrics import cp_snr_loss_db, papr_db
+from otfsim.ofdm import vsb_demodulate, vsb_modulate
+from otfsim.transforms import add_cp
 
 ALL_WAVEFORMS = (
     WaveformSpec("otfs"),
@@ -111,7 +113,8 @@ def test_energy_normalization_across_waveforms():
     budget = DESK.num_delay_bins * DESK.num_doppler_bins
     for wf in ALL_WAVEFORMS:
         rng = np.random.default_rng(3)
-        _, stream, _ = sim.build_stream(wf, rng)
+        _, streams, _ = sim.build_streams(wf, [rng])
+        stream = streams[0]
         scale = sim._energy_scale(stream)
         energy = np.sum(np.abs(scale * stream) ** 2)
         assert energy == pytest.approx(budget, rel=1e-12), wf.label
@@ -298,8 +301,93 @@ def test_vsb_stream_returns_its_placed_grid():
     # the receiver estimates from this grid's reference cells
     sim = LinkSimulator(VSB_SWEEP)
     wf = WaveformSpec("vsb_ofdm", 0)
-    _, stream, grid = sim.build_stream(wf, np.random.default_rng(3))
+    _, streams, grids = sim.build_streams(wf, [np.random.default_rng(3)])
+    stream, grid = streams[0], grids[0]
     np.testing.assert_allclose(vsb_demodulate(stream, sim.params, 0), grid, atol=1e-12)
     rs = grid[sim.vsb[0].roles == CELL_RS]
     assert rs.size == sim.vsb[0].n_rs
     np.testing.assert_allclose(np.abs(rs), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("key", ["waveforms", "snr_grid_db", "papr_thresholds_db"])
+def test_run_config_rejects_empty_lists(key):
+    # an empty list used to write a header-only CSV
+    with pytest.raises(ValueError, match=key):
+        RunConfig(**{key: ()})
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_dict({**VSB_SWEEP.to_dict(), key: []})
+
+
+def test_run_config_rejects_repeated_waveform_labels():
+    # results are keyed by label: the first waveform's trials would be lost
+    with pytest.raises(ValueError, match="label"):
+        RunConfig(waveforms=(WaveformSpec("otfs"), WaveformSpec("otfs")))
+    raw = {**VSB_SWEEP.to_dict(), "waveforms": [{"kind": "vsb_ofdm", "mu": 1}] * 2}
+    with pytest.raises(ValueError, match="label"):
+        RunConfig.from_dict(raw)
+    two = RunConfig(waveforms=(WaveformSpec("vsb_ofdm", 0), WaveformSpec("vsb_ofdm", 1)))
+    assert len(two.waveforms) == 2
+
+
+def _one_frame_oracle(sim, wf, rng):
+    """One frame built from the single-frame primitives, in the documented
+    draw order: message bits, filler bits, then reference symbols."""
+    geom = sim.vsb[wf.mu] if wf.kind == "vsb_ofdm" else None
+    n_cells = sim.dd_data_idx.size if geom is None else geom.data_idx.size
+    n_bits = n_cells * sim.const.bits_per_symbol
+    n_cw = n_bits // sim.code.codeword_len
+    msg = rng.integers(0, 2, size=n_cw * sim.code.message_len, dtype=np.uint8)
+    coded = sim.code.encode(msg).ravel()
+    filler = rng.integers(0, 2, size=n_bits - coded.size, dtype=np.uint8)
+    data = sim.const.map_bits(np.concatenate([coded, filler]))
+    if geom is not None:
+        grid = place_ofdm_frame(data, qpsk_symbols(geom.n_rs, rng), sim.params, wf.mu)
+        return msg, vsb_modulate(grid, sim.params, wf.mu), grid
+    grid = place_otfs_frame(data, sim.pilot, sim.params)
+    body = sim.transforms[wf.kind].apply(grid.ravel(order="F"))
+    return msg, add_cp(body, sim.params.cp_samples), None
+
+
+@pytest.mark.parametrize("grid", [(64, 16), (256, 16)], ids=["64x16", "256x16"])
+@pytest.mark.parametrize("wf", ALL_WAVEFORMS, ids=lambda w: w.label)
+def test_build_streams_rows_equal_single_frame_builds(wf, grid):
+    sim = LinkSimulator(replace(DESK, num_delay_bins=grid[0], num_doppler_bins=grid[1]))
+    seeds = [trial_seed(9, wf.label, 0, t) for t in range(5)]
+    msgs, streams, grids = sim.build_streams(wf, [trial_generator(s, "payload") for s in seeds])
+    assert streams.flags.c_contiguous and streams.shape[0] == len(seeds)
+    assert (grids is None) == (wf.kind != "vsb_ofdm")
+    for f, seed in enumerate(seeds):
+        batch_of_one = sim.build_streams(wf, [trial_generator(seed, "payload")])
+        single = tuple(None if x is None else x[0] for x in batch_of_one)
+        oracle = _one_frame_oracle(sim, wf, trial_generator(seed, "payload"))
+        for want in (single, oracle):
+            np.testing.assert_array_equal(msgs[f], want[0])
+            np.testing.assert_array_equal(streams[f], want[1])
+            if grids is not None:
+                np.testing.assert_array_equal(grids[f], want[2])
+
+
+def test_run_papr_counts_equal_a_frame_by_frame_loop(monkeypatch):
+    # batches of 3 frames, so 7 frames cross two batch boundaries
+    monkeypatch.setattr(harness, "BATCH_SAMPLES", 3 * DESK.frame.block_len)
+    cfg = replace(DESK, papr_frames=7, papr_oversample=2, master_seed=11)
+    sim = LinkSimulator(cfg)
+    assert sim.batch_frames == 3
+    res = run_papr(cfg)
+    for wf in cfg.waveforms:
+        thresholds = np.asarray(cfg.papr_thresholds_db)
+        exceed = np.zeros(thresholds.size, dtype=np.int64)
+        for t in range(cfg.papr_frames):
+            seed = trial_seed(cfg.master_seed, wf.label + "|papr", 0, t)
+            _, stream, _ = _one_frame_oracle(sim, wf, trial_generator(seed, "payload"))
+            exceed += papr_db(stream, cfg.papr_oversample) > thresholds
+        acc = res[wf.label].papr
+        assert acc.frames == cfg.papr_frames
+        np.testing.assert_array_equal(acc.exceed, exceed)
+
+
+def test_batch_frames_fit_desk_runs_and_leave_full_scale_alone():
+    assert LinkSimulator(DESK).batch_frames == 16
+    full = load_config("configs/full_scale.json")
+    assert full.num_delay_bins * full.num_doppler_bins >= harness.BATCH_SAMPLES
+    assert LinkSimulator(full).batch_frames == 1

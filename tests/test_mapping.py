@@ -51,3 +51,30 @@ def test_hard_bits_nearest_point_under_noise():
     symbols = const.map_bits(bits)
     noisy = symbols + 0.05 * (rng.standard_normal(100) + 1j * rng.standard_normal(100))
     np.testing.assert_array_equal(const.hard_bits(noisy).ravel(), bits)
+
+
+def test_constellations_are_built_once_and_read_only():
+    for make, name in ((qpsk, "qpsk"), (qam16, "16qam"), (qam64, "64qam")):
+        const = make()
+        assert make() is const
+        assert by_name(name) is const
+        for arr in (const.points, const.bits):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+    assert by_name("4qam") is qpsk()
+
+
+@pytest.mark.parametrize("const", [qpsk(), qam16(), qam64()])
+def test_every_label_maps_as_the_weighted_sum_did(const):
+    k = const.bits_per_symbol
+    # every label once, MSB first, then random groups
+    rng = np.random.default_rng(4)
+    bits = np.concatenate(
+        [const.bits.ravel(), rng.integers(0, 2, size=300 * k, dtype=np.uint8)]
+    )
+    labels = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
+    np.testing.assert_array_equal(const.map_bits(bits), const.points[labels])
+    np.testing.assert_array_equal(const.map_bits(const.bits.ravel()), const.points)
+    for bad in (np.zeros(k + 1, dtype=np.uint8), np.zeros((2, k), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="multiple"):
+            const.map_bits(bad)

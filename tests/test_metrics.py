@@ -65,6 +65,38 @@ def test_ccdf_from_known_values():
         PaprAccumulator(np.array([4.0])).ccdf()
 
 
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("samples", [1029, 1104])
+def test_papr_rows_equal_one_dimensional_calls(oversample, samples):
+    rng = np.random.default_rng(samples)
+    batch = rng.standard_normal((6, samples)) + 1j * rng.standard_normal((6, samples))
+    batch[:, 7] *= 9.0  # a pilot-like peak in every frame
+    want = [papr_db(row, oversample) for row in batch]
+    assert all(type(v) is float for v in want)
+    got = papr_db(batch, oversample)
+    assert got.shape == (6,)
+    np.testing.assert_array_equal(got, want)
+    # a column-major batch is measured along its rows all the same
+    np.testing.assert_array_equal(papr_db(np.asfortranarray(batch), oversample), want)
+    np.testing.assert_array_equal(papr_db(batch[:1], oversample), want[:1])
+    with pytest.raises(ValueError):
+        papr_db(batch[None], oversample)
+    with pytest.raises(ValueError):
+        papr_db(np.zeros((2, 0)), oversample)
+
+
+def test_ccdf_from_an_array_of_frames():
+    one_by_one = PaprAccumulator(np.array([4.0, 5.0]))
+    for v in (3.0, 5.0, 4.5, 4.0):
+        one_by_one.add(v)
+    batched = PaprAccumulator(np.array([4.0, 5.0]))
+    batched.add(np.array([3.0, 5.0]))
+    batched.add(np.array([4.5, 4.0]))
+    assert batched.frames == one_by_one.frames == 4
+    np.testing.assert_array_equal(batched.exceed, one_by_one.exceed)
+    np.testing.assert_allclose(batched.ccdf(), [0.5, 0.0])
+
+
 def test_ccdf_monotone_non_increasing():
     rng = np.random.default_rng(3)
     grid = np.linspace(0.0, 12.0, 25)

@@ -28,6 +28,17 @@ def test_each_symbol_prefix_copies_its_tail():
         np.testing.assert_array_equal(stream[:5, k], stream[-5:, k])
 
 
+def test_a_stack_of_grids_modulates_frame_by_frame():
+    rng = np.random.default_rng(4)
+    grids = rng.standard_normal((3, 16, 5)) + 1j * rng.standard_normal((3, 16, 5))
+    streams = ofdm_modulate(grids, 3)
+    assert streams.shape == (3, 19 * 5) and streams.flags.c_contiguous
+    for f in range(3):
+        np.testing.assert_array_equal(streams[f], ofdm_modulate(grids[f], 3))
+    # a column-major frame (as the grid placers lay it out) gives the same bits
+    np.testing.assert_array_equal(ofdm_modulate(np.asfortranarray(grids[1]), 3), streams[1])
+
+
 def test_modulation_preserves_energy_per_body():
     rng = np.random.default_rng(2)
     grid = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))

@@ -100,6 +100,18 @@ def test_cyclic_prefix_round_trip():
         remove_cp(s, 32)
 
 
+def test_cyclic_prefix_per_row_of_a_batch():
+    rng = np.random.default_rng(6)
+    batch = rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))
+    for rows in (batch, np.asfortranarray(batch)):
+        tx = add_cp(rows, 5)
+        assert tx.shape == (4, 37) and tx.flags.c_contiguous
+        for f in range(4):
+            np.testing.assert_array_equal(tx[f], add_cp(batch[f], 5))
+    with pytest.raises(ValueError):
+        add_cp(batch, 33)
+
+
 @pytest.mark.parametrize("kind", ["otfs", "block_ofdm"])
 def test_grid_transform_is_unitary(kind):
     t = GridTransform(M, N, kind)
