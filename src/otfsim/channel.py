@@ -263,36 +263,34 @@ def build_channel_matrix(ch: ChannelRealization) -> np.ndarray:
     return h
 
 
-def _body_columns(ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
+def _body_rows(ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
-    if v.ndim not in (1, 2) or v.shape[0] != ch.block_len:
-        raise ValueError(f"expected {ch.block_len} samples per column, got shape {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[-1] != ch.block_len:
+        raise ValueError(f"expected {ch.block_len} samples per row, got shape {v.shape}")
     return v
 
 
 def apply_channel_operator(ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
-    """H @ v on one frame body, for one vector or a batch of columns."""
-    v = _body_columns(ch, v)
+    """H @ v on one frame body, for one vector or a ``(batch, M*N)`` array of rows."""
+    v = _body_rows(ch, v)
     n = ch.block_len
     out = np.zeros(v.shape, dtype=complex)
     delays, rows = ch.folded_diagonals
     for l, c in zip(delays.tolist(), rows):
-        c = c[:, None] if v.ndim == 2 else c
-        out[l:] += c[l:] * v[: n - l]
-        out[:l] += c[:l] * v[n - l :]
+        out[..., l:] += c[l:] * v[..., : n - l]
+        out[..., :l] += c[:l] * v[..., n - l :]
     return out
 
 
 def apply_channel_operator_adjoint(ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
-    """H.conj().T @ v on one frame body, for one vector or a batch of columns."""
-    v = _body_columns(ch, v)
+    """H.conj().T @ v on one frame body, for one vector or a ``(batch, M*N)`` array of rows."""
+    v = _body_rows(ch, v)
     n = ch.block_len
     out = np.zeros(v.shape, dtype=complex)
     delays, rows = ch.folded_diagonals
-    for l, c in zip(delays.tolist(), rows):
-        c = c.conj()[:, None] if v.ndim == 2 else c.conj()
-        out[: n - l] += c[l:] * v[l:]
-        out[n - l :] += c[:l] * v[:l]
+    for l, c in zip(delays.tolist(), rows.conj()):
+        out[..., : n - l] += c[l:] * v[..., l:]
+        out[..., n - l :] += c[:l] * v[..., :l]
     return out
 
 

@@ -48,8 +48,8 @@ def _emit(line: str) -> None:
 
 def cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
-    results = harness.run_sweep(cfg, threads=args.threads, log=_emit)
     os.makedirs(args.out, exist_ok=True)
+    results = harness.run_sweep(cfg, threads=args.threads, log=_emit)
     harness.write_bler_csv(os.path.join(args.out, "bler.csv"), results)
     harness.write_meta(os.path.join(args.out, "meta.json"), cfg)
     _emit(f"wrote bler.csv, meta.json to {args.out}")
@@ -58,8 +58,8 @@ def cmd_run(args) -> int:
 
 def cmd_papr(args) -> int:
     cfg = harness.load_config(args.config)
-    results = harness.run_papr(cfg, log=_emit)
     os.makedirs(args.out, exist_ok=True)
+    results = harness.run_papr(cfg, log=_emit)
     harness.write_papr_csv(os.path.join(args.out, "papr.csv"), results)
     harness.write_meta(os.path.join(args.out, "meta.json"), cfg)
     _emit(f"wrote papr.csv, meta.json to {args.out}")

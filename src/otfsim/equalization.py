@@ -17,7 +17,7 @@ wrap-around correction.  An estimate with one distinct delay (every
 desk-scale channel) makes G G^H + rho I diagonal, and its exact
 variances, at any frame size, reduce to per-sample powers pooled into
 grid cells in O(MN).  With more delays one diagonal estimator gives
-them, probing the combiner with a block of columns Z solved together:
+them, probing the combiner with a block of rows Z solved together:
 Z = I, which makes it exact, up to ``EXACT_VARIANCE_LIMIT`` samples, and
 seeded random signs beyond the limit.
 
@@ -96,18 +96,17 @@ def fold_order(n: int) -> np.ndarray:
     return order
 
 
-def _lower_band(band: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _lower_band(band: np.ndarray, place: np.ndarray) -> np.ndarray:
     """LAPACK lower band storage of the fold-ordered cyclic band.
 
     ``band`` is a cyclic band as :func:`otfsim.channel.gram_matrix`
-    returns it.  Each entry ``K[u, u + d]`` moves to the places of ``u``
-    and ``u + d`` in ``order``; those in the lower triangle are stored,
-    and rows whose offsets are congruent mod n add into one entry.
+    returns it, and ``place[u]`` is the position of sample ``u`` in fold
+    order.  Each entry ``K[u, u + d]`` moves to ``place[u]`` and
+    ``place[u + d]``; those in the lower triangle are stored, and rows
+    whose offsets are congruent mod n add into one entry.
     """
     half = band.shape[0] // 2
     n = band.shape[1]
-    place = np.empty(n, dtype=np.int64)
-    place[order] = np.arange(n)
     ab = np.zeros((min(2 * half, n - 1) + 1, n), dtype=complex)
     for d in range(-half, half + 1):
         cols = np.roll(place, -d)
@@ -118,16 +117,25 @@ def _lower_band(band: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandFactor:
-    """Banded Cholesky factor of H H^H + rho I, taken in fold order."""
+    """Banded Cholesky factor of H H^H + rho I, taken in fold order.
+
+    ``place`` is the inverse permutation of ``order``.
+    """
 
     order: np.ndarray
+    place: np.ndarray
     lower: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """(H H^H + rho I)^{-1} b for one vector or a batch of columns."""
-        out = np.empty(b.shape, dtype=complex)
-        out[self.order] = cho_solve_banded((self.lower, True), b[self.order])
-        return out
+        """(H H^H + rho I)^{-1} b for one vector or a ``(batch, n)`` array of rows."""
+        b = np.asarray(b)
+        if b.ndim not in (1, 2) or b.shape[-1] != self.order.size:
+            raise ValueError(f"expected {self.order.size} samples per row, got shape {b.shape}")
+        # the fold-order gather is the one copy in: its transpose is the
+        # column-major block that LAPACK solves in place
+        folded = np.take(b, self.order, axis=-1)
+        x = cho_solve_banded((self.lower, True), folded.T, overwrite_b=True)
+        return np.take(x.T, self.place, axis=-1)
 
 
 def _factor(ch: ChannelRealization, rho: float) -> BandFactor:
@@ -139,7 +147,9 @@ def _factor(ch: ChannelRealization, rho: float) -> BandFactor:
     band = chan.gram_matrix(ch)
     band[band.shape[0] // 2] += rho
     order = fold_order(ch.block_len)
-    ab = _lower_band(band, order)
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    ab = _lower_band(band, place)
     try:
         lower = cholesky_banded(ab, lower=True)
         pivots = lower[0].real ** 2
@@ -147,7 +157,7 @@ def _factor(ch: ChannelRealization, rho: float) -> BandFactor:
     except np.linalg.LinAlgError:  # not positive definite
         singular = True
     if not singular:
-        return BandFactor(order, lower)
+        return BandFactor(order, place, lower)
     scale = max(float(np.abs(ab[0].real).max()), 1.0)
     ridge = 1e-12 * scale
     warnings.warn(
@@ -157,7 +167,7 @@ def _factor(ch: ChannelRealization, rho: float) -> BandFactor:
         stacklevel=3,
     )
     ab[0] += ridge
-    return BandFactor(order, cholesky_banded(ab, lower=True))
+    return BandFactor(order, place, cholesky_banded(ab, lower=True))
 
 
 def _diagonal_noise_vars(
@@ -178,9 +188,9 @@ def _diagonal_noise_vars(
 
 
 def _sign_probes(n: int, probes: int, probe_seed: int) -> np.ndarray:
-    """``probes`` columns of seeded random signs, drawn one after another."""
+    """``probes`` rows of seeded random signs, drawn one after another."""
     rng = np.random.default_rng(probe_seed)
-    return np.stack([rng.integers(0, 2, size=n) * 2.0 - 1.0 for _ in range(probes)], axis=1)
+    return np.stack([rng.integers(0, 2, size=n) * 2.0 - 1.0 for _ in range(probes)])
 
 
 def _probed_noise_vars(
@@ -190,23 +200,23 @@ def _probed_noise_vars(
     noise_var: float,
     z: np.ndarray,
 ) -> np.ndarray:
-    """sigma_n^2 times the diagonal of M^H M, estimated with probe columns z.
+    """sigma_n^2 times the diagonal of M^H M, estimated with probe rows z.
 
     M = (H H^H + rho I)^{-1} H A is the combining matrix's conjugate
     transpose.  The diagonal estimator of Bekas, Kokiopoulou and Saad
     (2007), sum_k conj(z_k) * (M^H M z_k) over sum_k |z_k|^2, is exact for
     z = I (squared column norms of M) and unbiased for random signs, with
-    relative error shrinking like 1/sqrt(probes).  All columns are solved
-    as one block.  The sums run column by column in probe order, which
-    fixes how a sign draw rounds.
+    relative error shrinking like 1/sqrt(probes).  All probes are solved
+    as one block.  The sums run probe by probe in order, which fixes how a
+    sign draw rounds.
     """
     mz = factor.solve(chan.apply_channel_operator(ch, transform.apply(z)))
     mhmz = transform.adjoint(chan.apply_channel_operator_adjoint(ch, factor.solve(mz)))
     num = np.zeros(transform.size)
     den = np.zeros(transform.size)
-    for j in range(z.shape[1]):
-        num += np.real(np.conj(z[:, j]) * mhmz[:, j])
-        den += np.abs(z[:, j]) ** 2
+    for zk, mhmzk in zip(z, mhmz):
+        num += np.real(np.conj(zk) * mhmzk)
+        den += np.abs(zk) ** 2
     return np.maximum(noise_var * (num / den), VAR_FLOOR)
 
 
@@ -224,7 +234,7 @@ def lmmse_equalize(
     are exact in closed form at any size when the estimate has one
     distinct delay.  With more delays the diagonal estimator probes with
     the identity up to ``EXACT_VARIANCE_LIMIT`` samples, which is exact,
-    and with ``variance_probes`` (at least 1) random sign columns, drawn
+    and with ``variance_probes`` (at least 1) random sign rows, drawn
     from ``probe_seed``, beyond.
     """
     r_body = np.asarray(r_body, dtype=complex).ravel()

@@ -149,7 +149,7 @@ class LdpcCode:
         """Systematic codewords, one row per message_len chunk.
 
         A single-message input comes back as a flat codeword, matching
-        :meth:`decode`'s single-column convention.
+        :meth:`decode`'s single-codeword convention.
         """
         msg_bits = np.asarray(msg_bits, dtype=np.uint8).ravel()
         single = msg_bits.size == self.message_len
@@ -176,39 +176,27 @@ class LdpcCode:
         scale: float = 0.75,
         max_iters: int = 50,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized min-sum decode of codeword-per-column LLRs.
+        """Normalized min-sum decode of codeword-per-row LLRs.
 
         Returns ``(bits, ok)``: hard decisions shaped like the input and
         one all-checks-satisfied flag per codeword.  Decoding stops early
         once the checks pass; an input whose hard decisions already form
-        a codeword comes back unchanged.  Only ``(n,)`` and ``(n, W)``
-        inputs with ``n == codeword_len`` are accepted.
+        a codeword comes back unchanged.  Only ``(n,)`` and ``(W, n)``
+        inputs with ``n == codeword_len`` are accepted, as :meth:`encode`
+        returns them.
         """
         llrs = np.asarray(llrs, dtype=float)
-        if llrs.ndim not in (1, 2) or llrs.shape[0] != self.codeword_len:
+        if llrs.ndim not in (1, 2) or llrs.shape[-1] != self.codeword_len:
             raise ValueError(
                 f"LLRs shaped {llrs.shape} are neither ({self.codeword_len},) "
-                f"nor ({self.codeword_len}, W)"
+                f"nor (W, {self.codeword_len})"
             )
-        single = llrs.ndim == 1
-        cols = llrs.reshape(self.codeword_len, -1)
-        bits = np.empty_like(cols, dtype=np.uint8)
-        ok = np.empty(cols.shape[1], dtype=bool)
-        for w in range(cols.shape[1]):
-            hard, good, _ = _kernels.min_sum_decode(cols[:, w], self.graph, scale, max_iters)
-            bits[:, w] = hard
-            ok[w] = good
-        return (bits[:, 0], ok[0]) if single else (bits, ok)
-
-
-def reshape_llrs(flat: np.ndarray, codeword_len: int) -> np.ndarray:
-    """Column-major reshape of a flat LLR stream to codeword columns."""
-    flat = np.asarray(flat, dtype=float).ravel()
-    if flat.size == 0 or flat.size % codeword_len:
-        raise ValueError(
-            f"stream length {flat.size} is not a multiple of {codeword_len}"
-        )
-    return flat.reshape(codeword_len, -1, order="F")
+        rows = llrs.reshape(-1, self.codeword_len)
+        bits = np.empty(rows.shape, dtype=np.uint8)
+        ok = np.empty(rows.shape[0], dtype=bool)
+        for w, row in enumerate(rows):
+            bits[w], ok[w], _ = _kernels.min_sum_decode(row, self.graph, scale, max_iters)
+        return (bits[0], ok[0]) if llrs.ndim == 1 else (bits, ok)
 
 
 def load_code(source: str = "ldpc_n1944_r23") -> LdpcCode:

@@ -20,6 +20,7 @@ Early stopping only happens at chunk boundaries for the same reason.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -68,6 +69,16 @@ WAVEFORM_KINDS = ("otfs", "block_ofdm", "vsb_ofdm")
 # against 8,600 for 64.  So a desk batch holds 16 frames, a 256x16 batch
 # 4, and a full-scale frame is a batch of its own.
 BATCH_SAMPLES = 1 << 14
+
+
+def _checked_keys(cls, raw: dict, what: str) -> dict:
+    """``raw`` as keyword arguments of dataclass ``cls``, or ValueError."""
+    fields = cls.__dataclass_fields__
+    unknown = set(raw) - set(fields)
+    missing = {k for k, f in fields.items() if f.default is dataclasses.MISSING} - set(raw)
+    if unknown or missing:
+        raise ValueError(f"{what} keys: unknown {sorted(unknown)}, missing {sorted(missing)}")
+    return dict(raw)
 
 
 @dataclass(frozen=True)
@@ -159,14 +170,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
+        kwargs = _checked_keys(cls, raw, "config")
         if "waveforms" in kwargs:
             kwargs["waveforms"] = tuple(
-                WaveformSpec(w["kind"], w.get("mu", 0)) for w in kwargs["waveforms"]
+                WaveformSpec(**_checked_keys(WaveformSpec, w, "waveform"))
+                for w in kwargs["waveforms"]
             )
         for key in ("snr_grid_db", "papr_thresholds_db"):
             if key in kwargs:
@@ -174,15 +182,7 @@ class RunConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if name == "waveforms":
-                value = [{"kind": w.kind, "mu": w.mu} for w in value]
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[name] = value
-        return out
+        return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -300,11 +300,9 @@ class LinkSimulator:
         n = self.code.codeword_len
         k = self.code.message_len
         n_cw = msg.size // k
-        flat = llrs.ravel()[: n_cw * n]
-        bits, ok = self.code.decode(
-            fec.reshape_llrs(flat, n), self.cfg.min_sum_scale, self.cfg.ldpc_max_iters
-        )
-        good = ok & (bits[:k] == msg.reshape(n_cw, k).T).all(axis=0)
+        words = llrs.ravel()[: n_cw * n].reshape(n_cw, n)
+        bits, ok = self.code.decode(words, self.cfg.min_sum_scale, self.cfg.ldpc_max_iters)
+        good = ok & (bits[:, :k] == msg.reshape(n_cw, k)).all(axis=1)
         return int(n_cw - good.sum()), n_cw
 
     # ----------------------------------------------------------- frame build
@@ -352,8 +350,8 @@ class LinkSimulator:
             return msgs, vsb_modulate(grids, self.params, wf.mu), grids
         grids = place_otfs_frame(data, self.pilot, self.params)
         del data
-        # column-major frames are the transform's input columns
-        body = self.transforms[wf.kind].apply(grids.swapaxes(1, 2).reshape(frames, -1).T).T
+        # each frame is column-major in memory, so its grid vector is a view
+        body = self.transforms[wf.kind].apply(grids.swapaxes(1, 2).reshape(frames, -1))
         del grids
         return msgs, add_cp(body, self.params.cp_samples), None
 
@@ -595,6 +593,7 @@ def write_meta(path, cfg: RunConfig) -> None:
         version = "unknown"
     meta = {
         "config_sha256": cfg.config_hash(),
+        "config": cfg.to_dict(),
         "master_seed": cfg.master_seed,
         "adjust_cp_loss": cfg.adjust_cp_loss,
         "version": version,

@@ -42,8 +42,8 @@ def ofdm_demodulate(
     step = num_subcarriers + cp_len
     if stream.size == 0 or stream.size % step:
         raise ValueError(f"stream length {stream.size} is not a multiple of {step}")
-    frames = stream.reshape(step, -1, order="F")
-    return np.fft.fft(frames[cp_len:, :], axis=0, norm="ortho")
+    # one symbol a row, as ofdm_modulate writes them; the grid is their transpose
+    return np.fft.fft(stream.reshape(-1, step)[:, cp_len:], axis=-1, norm="ortho").T
 
 
 def vsb_modulate(grid: np.ndarray, params: FrameParams, mu: int) -> np.ndarray:

@@ -62,11 +62,11 @@ def add_cp(s: np.ndarray, cp_samples: int) -> np.ndarray:
 
 
 def remove_cp(r: np.ndarray, cp_samples: int) -> np.ndarray:
-    """Drop the leading ``cp_samples`` samples."""
+    """Drop the leading ``cp_samples`` samples of each stream (last axis)."""
     r = np.asarray(r)
-    if cp_samples < 0 or cp_samples >= r.size:
-        raise ValueError(f"prefix length {cp_samples} outside [0, {r.size})")
-    return r[cp_samples:]
+    if not 0 <= cp_samples < r.shape[-1]:
+        raise ValueError(f"prefix length {cp_samples} outside [0, {r.shape[-1]})")
+    return r[..., cp_samples:]
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,13 @@ class GridTransform:
     """Unitary grid-to-samples map used by the equalizer.
 
     Both kinds run the same N-point IDFT along each row of the M-by-N
-    grid (columns of the column-major vectorized grids are independent
-    inputs); ``kind`` only picks the order in which the transformed grid
-    is read out as samples.  ``"block_ofdm"`` reads it row by row (C
-    order, sample ``m N + n``): M OFDM symbols of N subcarriers.
-    ``"otfs"`` reads it column by column (F order, sample ``n M + m``),
-    which is the same frame through the perfect interleaver.
-    ``apply``/``adjoint`` work matrix-free on batches of column vectors,
+    grid; ``kind`` only picks the order in which the transformed grid is
+    read out as samples.  ``"block_ofdm"`` reads it row by row (C order,
+    sample ``m N + n``): M OFDM symbols of N subcarriers.  ``"otfs"``
+    reads it column by column (F order, sample ``n M + m``), which is the
+    same frame through the perfect interleaver.  A grid vector is the
+    grid flattened column-major (delay fastest).  ``apply``/``adjoint``
+    work matrix-free on one vector or a ``(batch, M*N)`` array of rows,
     ``adjoint_power`` pools per-sample powers into grid cells, and
     ``dense`` materializes the M*N square matrix for small problems and
     cross-checks.
@@ -98,34 +98,37 @@ class GridTransform:
     def size(self) -> int:
         return self.num_delay_bins * self.num_doppler_bins
 
-    @property
-    def order(self) -> str:
-        """Sample read order of the transformed grid: "F" for OTFS, "C" for block OFDM."""
-        return "F" if self.kind == "otfs" else "C"
-
-    def _as_batch(self, v: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _rows(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
-        if v.ndim == 1:
-            return v[:, None], True
-        return v, False
+        if v.ndim not in (1, 2) or v.shape[-1] != self.size:
+            raise ValueError(f"expected {self.size} samples per row, got shape {v.shape}")
+        return v
+
+    def _grid_view(self, v: np.ndarray) -> np.ndarray:
+        """Grid vectors as N-by-M grids: Doppler down axis -2, delay along -1."""
+        return v.reshape(v.shape[:-1] + (self.num_doppler_bins, self.num_delay_bins))
+
+    def _readout_view(self, s: np.ndarray) -> np.ndarray:
+        """Sample rows as the N-by-M grids they are read out of."""
+        m, n = self.num_delay_bins, self.num_doppler_bins
+        if self.kind == "otfs":
+            return s.reshape(s.shape[:-1] + (n, m))
+        return s.reshape(s.shape[:-1] + (m, n)).swapaxes(-1, -2)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Grid vector(s) to time samples; columns are independent."""
-        v, squeeze = self._as_batch(x)
-        m, n, k = self.num_delay_bins, self.num_doppler_bins, v.shape[1]
-        # laid out in read-out order, so the read-out is a view
-        rows = np.empty((m, n, k), dtype=complex, order=self.order)
-        np.fft.ifft(v.reshape(m, n, k, order="F"), axis=1, norm="ortho", out=rows)
-        out = rows.reshape(m * n, k, order=self.order)
-        return out[:, 0] if squeeze else out
+        """Grid vector(s) to time samples; rows are independent."""
+        x = self._rows(x)
+        out = np.empty(x.shape, dtype=complex)
+        # the IDFT writes straight into the read-out order
+        np.fft.ifft(self._grid_view(x), axis=-2, norm="ortho", out=self._readout_view(out))
+        return out
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
-        """Time samples back to grid vector(s)."""
-        v, squeeze = self._as_batch(r)
-        m, n, k = self.num_delay_bins, self.num_doppler_bins, v.shape[1]
-        rows = np.fft.fft(v.reshape(m, n, k, order=self.order), axis=1, norm="ortho")
-        out = rows.reshape(m * n, k, order="F")
-        return out[:, 0] if squeeze else out
+        """Time samples back to grid vector(s); rows are independent."""
+        r = self._rows(r)
+        out = np.empty(r.shape, dtype=complex)
+        np.fft.fft(self._readout_view(r), axis=-2, norm="ortho", out=self._grid_view(out))
+        return out
 
     def adjoint_power(self, q: np.ndarray) -> np.ndarray:
         """``(|A|^2)^T q``: per-sample powers pooled into grid cells.
@@ -135,9 +138,8 @@ class GridTransform:
         row's powers.
         """
         q = np.asarray(q, dtype=float).ravel()
-        m, n = self.num_delay_bins, self.num_doppler_bins
-        return np.tile(q.reshape(m, n, order=self.order).mean(axis=1), n)
+        return np.tile(self._readout_view(q).mean(axis=-2), self.num_doppler_bins)
 
     def dense(self) -> np.ndarray:
         """The transform as an explicit unitary M*N square matrix."""
-        return self.apply(np.eye(self.size, dtype=complex))
+        return self.apply(np.eye(self.size, dtype=complex)).T

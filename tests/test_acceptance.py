@@ -444,8 +444,8 @@ def test_criterion_10_ldpc_round_trip_and_waterfall():
     msgs = rng.integers(0, 2, (n_msgs, code.message_len), dtype=np.uint8)
     cws = code.encode(msgs.ravel())
     llrs = 8.0 * (1.0 - 2.0 * cws.astype(float))
-    bits, ok_flags = code.decode(llrs.T)
-    exact = ok_flags.all() and np.array_equal(bits.T, cws)
+    bits, ok_flags = code.decode(llrs)
+    exact = ok_flags.all() and np.array_equal(bits, cws)
 
     sigmas = (1.0, 0.85, 0.75, 0.7, 0.6)
     errors = []

@@ -155,20 +155,20 @@ def test_operator_matches_dense_matrix():
     np.testing.assert_allclose(band_to_dense(gram_matrix(ch), 32), h @ h.conj().T, atol=1e-12)
 
 
-def test_operator_batches_columns():
-    # a block of columns is the same as each column on its own
+def test_operator_batches_rows():
+    # a block of rows is the same as each row on its own, bit for bit
     ch = small_channel()
     h = build_channel_matrix(ch)
     rng = np.random.default_rng(24)
-    v = rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))
+    v = rng.standard_normal((5, 32)) + 1j * rng.standard_normal((5, 32))
     hv = apply_channel_operator(ch, v)
     hhv = apply_channel_operator_adjoint(ch, v)
-    np.testing.assert_allclose(hv, h @ v, atol=1e-12)
-    np.testing.assert_allclose(hhv, h.conj().T @ v, atol=1e-12)
+    np.testing.assert_allclose(hv, v @ h.T, atol=1e-12)
+    np.testing.assert_allclose(hhv, v @ h.conj(), atol=1e-12)
     for j in range(5):
-        np.testing.assert_array_equal(hv[:, j], apply_channel_operator(ch, v[:, j]))
-        np.testing.assert_array_equal(hhv[:, j], apply_channel_operator_adjoint(ch, v[:, j]))
-    for bad in (np.zeros(31), np.zeros((31, 2)), np.zeros((32, 2, 2))):
+        np.testing.assert_array_equal(hv[j], apply_channel_operator(ch, v[j]))
+        np.testing.assert_array_equal(hhv[j], apply_channel_operator_adjoint(ch, v[j]))
+    for bad in (np.zeros(31), np.zeros((2, 31)), np.zeros((32, 2)), np.zeros((2, 2, 32))):
         with pytest.raises(ValueError):
             apply_channel_operator(ch, bad)
         with pytest.raises(ValueError):
@@ -218,14 +218,14 @@ def test_large_gram_band_matches_the_operators():
     band = gram_matrix(ch)
     assert band.shape == (7, n)
     cols = np.array([0, 1, 2, 5, n // 2, n - 3, n - 1])
-    unit = np.zeros((n, cols.size), dtype=complex)
-    unit[cols, np.arange(cols.size)] = 1.0
+    unit = np.zeros((cols.size, n), dtype=complex)
+    unit[np.arange(cols.size), cols] = 1.0
     want = apply_channel_operator(ch, apply_channel_operator_adjoint(ch, unit))
     half = band.shape[0] // 2
     got = np.zeros_like(want)
     for j, col in enumerate(cols):
         for d in range(-half, half + 1):
-            got[(col - d) % n, j] += band[half + d, (col - d) % n]
+            got[j, (col - d) % n] += band[half + d, (col - d) % n]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from otfsim import cli
+from otfsim import cli, harness
 from otfsim.harness import (
     RunConfig,
     WaveformSpec,
@@ -36,6 +36,7 @@ def test_run_writes_what_the_sweep_gives(tmp_path):
     assert not (out / "papr.csv").exists()
     meta = json.loads((out / "meta.json").read_text())
     assert meta["config_sha256"] == TINY.config_hash()
+    assert RunConfig.from_dict(meta["config"]) == TINY
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -57,6 +58,22 @@ def test_papr_writes_what_the_measurement_gives(tmp_path):
     assert not (out / "bler.csv").exists()
     meta = json.loads((out / "meta.json").read_text())
     assert meta["config_sha256"] == TINY.config_hash()
+
+
+@pytest.mark.parametrize("command, entry", [("run", "run_sweep"), ("papr", "run_papr")])
+def test_an_unusable_out_fails_before_any_trial(tmp_path, monkeypatch, command, entry):
+    # --out names a file: the directory cannot be made, and no trial may
+    # run only to have its results lost
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial started before --out was made")
+
+    monkeypatch.setattr(harness, entry, no_trials)
+    with pytest.raises(FileExistsError):
+        cli.main([command, "--config", _write_config(tmp_path), "--out", str(out)])
+    assert out.read_text() == "a file, not a directory"
 
 
 def test_profiles_list(capsys):

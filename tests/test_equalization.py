@@ -227,9 +227,9 @@ def dense_system(ch, rho):
     return h @ h.conj().T + rho * np.eye(ch.block_len)
 
 
-def right_hand_sides(rng, n, columns):
-    b = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
-    return b[:, 0] if columns == 1 else b
+def right_hand_sides(rng, n, rows):
+    b = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    return b[0] if rows == 1 else b
 
 
 def test_fold_order_turns_a_cyclic_band_into_a_plain_one():
@@ -252,7 +252,7 @@ def test_lower_band_is_the_fold_ordered_matrix(n, half):
     band = rng.standard_normal((2 * half + 1, n)) + 1j * rng.standard_normal((2 * half + 1, n))
     order = fold_order(n)
     folded = band_to_dense(band, n)[np.ix_(order, order)]
-    ab = _lower_band(band, order)
+    ab = _lower_band(band, np.argsort(order))
     assert ab.shape == (min(2 * half, n - 1) + 1, n)
     for r in range(n):
         want = np.diagonal(folded, -r)
@@ -260,29 +260,29 @@ def test_lower_band_is_the_fold_ordered_matrix(n, half):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("columns", [1, 9])
+@pytest.mark.parametrize("rows", [1, 9])
 @pytest.mark.parametrize("case", sorted(BAND_CASES))
-def test_band_factor_solves_like_dense(case, columns):
+def test_band_factor_solves_like_dense(case, rows):
     ch = BAND_CASES[case]
     n, rho = ch.block_len, 0.1
     k = dense_system(ch, rho)
     np.testing.assert_allclose(
         band_to_dense(gram_matrix(ch), n) + rho * np.eye(n), k, atol=1e-12
     )
-    b = right_hand_sides(np.random.default_rng(31), n, columns)
-    want = np.linalg.solve(k, b)
+    b = right_hand_sides(np.random.default_rng(31), n, rows)
+    want = np.linalg.solve(k, b.T).T
     got = _factor(ch, rho).solve(b)
     assert got.shape == b.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("columns", [1, 9])
-def test_large_band_factor_solves_the_system(columns):
+@pytest.mark.parametrize("rows", [1, 9])
+def test_large_band_factor_solves_the_system(rows):
     # 256x16 with delays 0, 1 and 3: the residual is taken through the
     # operators, since a dense H of 4096 samples is 268 MB
     ch = delay_channel((0, 1, 3), 256, 16, seed=3)
     rho = 0.05
-    b = right_hand_sides(np.random.default_rng(32), ch.block_len, columns)
+    b = right_hand_sides(np.random.default_rng(32), ch.block_len, rows)
     x = _factor(ch, rho).solve(b)
     kx = apply_channel_operator(ch, apply_channel_operator_adjoint(ch, x)) + rho * x
     np.testing.assert_allclose(kx, b, rtol=0, atol=1e-11)
@@ -303,30 +303,49 @@ def test_ridged_factor_solves_the_ridged_system(taps):
     ridged = k + 1e-12 * max(np.abs(np.diag(k)).max(), 1.0) * np.eye(32)
     with pytest.warns(RuntimeWarning, match="^equalizer system singular"):
         factor = _factor(ch, 0.0)
-    for columns in (1, 9):
-        b = right_hand_sides(np.random.default_rng(33), 32, columns)
+    for rows in (1, 9):
+        b = right_hand_sides(np.random.default_rng(33), 32, rows)
         got = factor.solve(b)
-        want = np.linalg.solve(ridged, b)
+        want = np.linalg.solve(ridged, b.T).T
         scale = np.linalg.norm(ridged, 2) * np.abs(got).max()
-        np.testing.assert_allclose(ridged @ got, b, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(got @ ridged.T, b, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-3 * np.abs(want).max())
 
 
 def test_batched_probes_equal_a_probe_by_probe_loop():
+    # the probe rows solved as one block give each 1-D probe's terms, bit
+    # for bit, summed in probe order
     ch = delay_channel((0, 1), 256, 16, seed=4)
-    t = GridTransform(256, 16, "otfs")
     nv, probes, seed = 0.07, 8, 12345
     factor = _factor(ch, nv)
-    rng = np.random.default_rng(seed)
-    acc = np.zeros(t.size)
-    for _ in range(probes):
-        z = rng.integers(0, 2, size=t.size) * 2.0 - 1.0
-        mz = factor.solve(apply_channel_operator(ch, t.apply(z)))
-        mhmz = t.adjoint(apply_channel_operator_adjoint(ch, factor.solve(mz)))
-        acc += np.real(np.conj(z) * mhmz)
-    want = np.maximum(nv * acc / probes, VAR_FLOOR)
-    got = _probed_noise_vars(ch, t, factor, nv, _sign_probes(t.size, probes, seed))
-    np.testing.assert_allclose(got, want, rtol=1e-12)
+    for kind in ("otfs", "block_ofdm"):
+        t = GridTransform(256, 16, kind)
+        rng = np.random.default_rng(seed)
+        acc = np.zeros(t.size)
+        for _ in range(probes):
+            z = rng.integers(0, 2, size=t.size) * 2.0 - 1.0
+            mz = factor.solve(apply_channel_operator(ch, t.apply(z)))
+            mhmz = t.adjoint(apply_channel_operator_adjoint(ch, factor.solve(mz)))
+            acc += np.real(np.conj(z) * mhmz)
+        want = np.maximum(nv * (acc / probes), VAR_FLOOR)
+        got = _probed_noise_vars(ch, t, factor, nv, _sign_probes(t.size, probes, seed))
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_band_factor_rows_equal_single_solves(case):
+    ch = BAND_CASES[case]
+    factor = _factor(ch, 0.1)
+    b = right_hand_sides(np.random.default_rng(34), ch.block_len, 6)
+    for rows in (b, np.asfortranarray(b)):
+        got = factor.solve(rows)
+        assert got.shape == b.shape
+        for j in range(6):
+            np.testing.assert_array_equal(got[j], factor.solve(b[j]))
+    n = ch.block_len
+    for bad in (np.zeros(n - 1), np.zeros((2, n + 1)), np.zeros((2, 2, n))):
+        with pytest.raises(ValueError):
+            factor.solve(bad)
 
 
 @pytest.mark.parametrize("probes", [0, -3])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otfsim.fec import LdpcCode, default_code, load_code, reshape_llrs
+from otfsim.fec import LdpcCode, default_code, load_code
 
 CODE = default_code()
 
@@ -128,10 +128,9 @@ def test_noiseless_round_trip_batch():
     rng = np.random.default_rng(2)
     msgs = rng.integers(0, 2, 4 * CODE.message_len)
     cws = CODE.encode(msgs)
-    llrs = to_llrs(cws.T.ravel(order="F")).reshape(CODE.codeword_len, 4, order="F")
-    bits, ok = CODE.decode(llrs)
+    bits, ok = CODE.decode(to_llrs(cws))
     assert ok.all()
-    np.testing.assert_array_equal(bits.T.ravel(), cws.ravel())
+    np.testing.assert_array_equal(bits, cws)
 
 
 def test_valid_codeword_returns_unchanged_with_weak_llrs():
@@ -160,21 +159,9 @@ def test_decode_rejects_unsupported_shapes():
     with pytest.raises(ValueError):
         CODE.decode(to_llrs(cws.ravel()))  # two codewords run together
     with pytest.raises(ValueError):
-        CODE.decode(to_llrs(cws))  # one row per codeword, as encode returns
+        CODE.decode(to_llrs(cws.T))  # one column per codeword
     with pytest.raises(ValueError):
-        CODE.decode(to_llrs(cws.T)[None])
-
-
-def test_reshape_llrs():
-    flat = np.arange(12.0)
-    cols = reshape_llrs(flat, 4)
-    assert cols.shape == (4, 3)
-    np.testing.assert_array_equal(cols[:, 0], [0, 1, 2, 3])
-    np.testing.assert_array_equal(cols.ravel(order="F"), flat)
-    with pytest.raises(ValueError):
-        reshape_llrs(np.arange(10.0), 4)
-    with pytest.raises(ValueError):
-        reshape_llrs(np.zeros(0), 4)
+        CODE.decode(to_llrs(cws)[None])
 
 
 def test_pinned_padding_decodes_to_zero_bits():

@@ -228,6 +228,27 @@ def test_meta_file_contents(tmp_path):
     assert len(meta["git_revision"]) in (7, 40) or meta["git_revision"] == "unknown"
 
 
+def test_meta_holds_the_config_it_hashes(tmp_path):
+    # meta.json alone is enough to rerun its sweep
+    path = tmp_path / "meta.json"
+    for cfg in (VSB_SWEEP, load_config("configs/desk.json")):
+        write_meta(path, cfg)
+        meta = json.load(open(path))
+        again = RunConfig.from_dict(meta["config"])
+        assert again.config_hash() == meta["config_sha256"]
+        assert again == cfg
+
+
+def test_bundled_config_hashes_are_pinned():
+    # meta.json files and the benchmark's pool rounds key on these hashes
+    assert load_config("configs/desk.json").config_hash() == (
+        "ab2a3c829ba0b924b45d19da38727fd93492c481e3a7d7d38a0074c7a827dba5"
+    )
+    assert load_config("configs/full_scale.json").config_hash() == (
+        "414fb5bf6628cc004d67d0d98146d58319d836611bd3518ef2257462eba55e6d"
+    )
+
+
 def test_vsb_mu3_rejected_at_desk_scale():
     cfg = RunConfig(waveforms=(WaveformSpec("vsb_ofdm", 3),))
     with pytest.raises(ValueError):
@@ -327,6 +348,17 @@ def test_run_config_rejects_repeated_waveform_labels():
         RunConfig.from_dict(raw)
     two = RunConfig(waveforms=(WaveformSpec("vsb_ofdm", 0), WaveformSpec("vsb_ofdm", 1)))
     assert len(two.waveforms) == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"kind": "vsb_ofdm", "mu ": 3}, {"kind": "otfs", "numerology": 0}, {"mu": 1}],
+    ids=["misspelt_mu", "unknown_key", "no_kind"],
+)
+def test_run_config_rejects_bad_waveform_entries(entry):
+    # a misspelt key used to run mu 0 silently, and a missing kind raised KeyError
+    with pytest.raises(ValueError, match="waveform"):
+        RunConfig.from_dict({**VSB_SWEEP.to_dict(), "waveforms": [entry]})
 
 
 def _one_frame_oracle(sim, wf, rng):

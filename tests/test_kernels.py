@@ -466,17 +466,17 @@ def test_min_sum_rejects_bad_input():
 
 def noisy_batch(code, width, seed):
     # alternate a noise level the code corrects with one it cannot
-    cols = [noisy_llrs(code, (0.6, 1.0)[w % 2], seed + w, "noisy") for w in range(width)]
-    return np.stack(cols, axis=1)
+    rows = [noisy_llrs(code, (0.6, 1.0)[w % 2], seed + w, "noisy") for w in range(width)]
+    return np.stack(rows)
 
 
-def test_batch_decode_equals_single_columns():
+def test_batch_decode_equals_single_rows():
     code = default_code()
     llrs = noisy_batch(code, 6, 40)
     bits, ok = code.decode(llrs)
-    for w in range(llrs.shape[1]):
-        one_bits, one_ok = code.decode(llrs[:, w])
-        np.testing.assert_array_equal(bits[:, w], one_bits)
+    for w in range(llrs.shape[0]):
+        one_bits, one_ok = code.decode(llrs[w])
+        np.testing.assert_array_equal(bits[w], one_bits)
         assert ok[w] == one_ok
     assert ok.any() and not ok.all()  # both outcomes are compared
 

@@ -100,6 +100,18 @@ def test_cyclic_prefix_round_trip():
         remove_cp(s, 32)
 
 
+def test_cyclic_prefix_removed_per_row_of_a_batch():
+    rng = np.random.default_rng(7)
+    batch = rng.standard_normal((4, 37)) + 1j * rng.standard_normal((4, 37))
+    body = remove_cp(batch, 5)
+    assert body.shape == (4, 32)
+    for f in range(4):
+        np.testing.assert_array_equal(body[f], remove_cp(batch[f], 5))
+    np.testing.assert_array_equal(remove_cp(add_cp(batch, 3), 3), batch)
+    with pytest.raises(ValueError):
+        remove_cp(batch, 37)
+
+
 def test_cyclic_prefix_per_row_of_a_batch():
     rng = np.random.default_rng(6)
     batch = rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))
@@ -127,9 +139,28 @@ def test_grid_transform_matches_dense(kind):
     v = rng.standard_normal(M * N) + 1j * rng.standard_normal(M * N)
     np.testing.assert_allclose(t.apply(v), a @ v, atol=1e-12)
     np.testing.assert_allclose(t.adjoint(v), a.conj().T @ v, atol=1e-12)
-    batch = rng.standard_normal((M * N, 3)) + 1j * rng.standard_normal((M * N, 3))
-    np.testing.assert_allclose(t.apply(batch), a @ batch, atol=1e-12)
-    np.testing.assert_allclose(t.adjoint(batch), a.conj().T @ batch, atol=1e-12)
+    batch = rng.standard_normal((3, M * N)) + 1j * rng.standard_normal((3, M * N))
+    np.testing.assert_allclose(t.apply(batch), batch @ a.T, atol=1e-12)
+    np.testing.assert_allclose(t.adjoint(batch), batch @ a.conj(), atol=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(M, N), (64, 16), (256, 16)])
+@pytest.mark.parametrize("kind", ["otfs", "block_ofdm"])
+def test_grid_transform_rows_equal_single_calls(kind, m, n):
+    # a (batch, M*N) call is each row's 1-D call, bit for bit
+    t = GridTransform(m, n, kind)
+    rng = np.random.default_rng(m + n)
+    batch = rng.standard_normal((5, m * n)) + 1j * rng.standard_normal((5, m * n))
+    for rows in (batch, np.asfortranarray(batch)):
+        for op in (t.apply, t.adjoint):
+            out = op(rows)
+            assert out.shape == batch.shape and out.flags.c_contiguous
+            for j in range(5):
+                np.testing.assert_array_equal(out[j], op(batch[j]))
+    for bad in (np.zeros(m * n - 1), np.zeros((2, m * n + 1)), np.zeros((2, 2, m * n))):
+        for op in (t.apply, t.adjoint):
+            with pytest.raises(ValueError):
+                op(bad)
 
 
 @pytest.mark.parametrize("kind", ["otfs", "block_ofdm"])
