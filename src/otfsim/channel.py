@@ -16,10 +16,22 @@ delay ``l``,
 
 with ``w_p = 2 pi k_p / (M N)``, and ``H = sum_l diag(c_l) P**l``.
 :meth:`ChannelRealization.diagonals` is the one place that evaluates
-them.  The body-length view folds them mod ``M*N`` once per realization,
-one row per distinct delay (:attr:`ChannelRealization.folded_diagonals`);
-the operator and its adjoint are shifts and products of those rows, and
-so is the Gram matrix ``H H^H``, a cyclic band that
+them.  It splits each tap's ramp in two levels: with ``t = a B + b``,
+``a = t // B`` and ``B = RAMP_BLOCK``,
+
+    exp(j w_p (t - l)) = exp(j w_p (a B - l)) * exp(j w_p b),
+
+one exponential per tap and block plus one per tap and in-block offset,
+then one product per sample.  The split is anchored on absolute time,
+not on the first time asked for, so every sample's value depends on
+``t`` alone: the stream view and the folded body get the same bits at
+equal ``t``.
+
+The body-length view folds the diagonals mod ``M*N`` once per
+realization, one row per distinct delay
+(:attr:`ChannelRealization.folded_diagonals`); the operator and its
+adjoint are shifts and products of those rows, and so is the Gram
+matrix ``H H^H``, a cyclic band that
 :func:`gram_matrix` returns as its diagonals.  The stream view applies
 them as a causal linear time-varying convolution along a transmitted
 stream, prefix included.  After stripping a long-enough cyclic prefix
@@ -39,6 +51,10 @@ import numpy as np
 from .grid import FrameParams
 
 BUNDLED_PROFILES = ("tdl_a",)
+# samples per block of the two-level tap ramp: a full-scale stream of
+# about 70,000 samples needs under 300 block phases a tap, and one block's
+# offset phases stay in cache
+RAMP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -142,22 +158,26 @@ class ChannelRealization:
         """Per-tap Doppler phase increment per sample, 2 pi k_p / (M N)."""
         return 2.0 * np.pi * self.doppler_bins / self.block_len
 
-    @property
-    def max_delay_bin(self) -> int:
-        return int(self.delay_bins.max(initial=0))
-
-    def diagonals(self, times: np.ndarray) -> dict[int, np.ndarray]:
-        """The Doppler diagonal of each distinct delay, sampled at ``times``.
+    def diagonals(self, start: int, count: int) -> dict[int, np.ndarray]:
+        """The Doppler diagonal of each distinct delay at times ``start .. start + count - 1``.
 
         ``c_l(t) = sum_p h_p exp(j w_p (t - l))`` over the taps with delay
-        ``l``, accumulated tap by tap in tap order.  Keys are the delays in
-        order of first appearance.
+        ``l``, accumulated tap by tap in tap order, each ramp the two-level
+        product anchored on absolute time (see the module docstring).
+        Keys are the delays in order of first appearance.
         """
-        out: dict[int, np.ndarray] = {}
+        first = start // RAMP_BLOCK
+        blocks = np.arange(first, (start + count - 1) // RAMP_BLOCK + 1) * RAMP_BLOCK
+        offsets = np.arange(RAMP_BLOCK)
+        skip = start - first * RAMP_BLOCK
+        ramp = np.empty((blocks.size, RAMP_BLOCK), dtype=complex)
+        acc: dict[int, np.ndarray] = {}
         for g, l, w in zip(self.gains, self.delay_bins, self.phase_rates):
-            c = out.setdefault(int(l), np.zeros(times.size, dtype=complex))
-            c += g * np.exp(1j * w * (times - l))
-        return out
+            c = acc.setdefault(int(l), np.zeros(ramp.shape, dtype=complex))
+            coarse = g * np.exp(1j * (w * (blocks - l)))
+            np.multiply(coarse[:, None], np.exp(1j * (w * offsets)), out=ramp)
+            c += ramp
+        return {l: c.ravel()[skip : skip + count] for l, c in acc.items()}
 
     @cached_property
     def folded_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -171,22 +191,13 @@ class ChannelRealization:
         """
         n = self.block_len
         folded: dict[int, np.ndarray] = {}
-        for l, c in self.diagonals(np.arange(n)).items():
+        for l, c in self.diagonals(0, n).items():
             folded[l % n] = folded[l % n] + c if l % n in folded else c
         delays = np.array(sorted(folded), dtype=np.int64)
         rows = np.array([folded[l] for l in delays.tolist()], dtype=complex)
         delays.flags.writeable = False
         rows.flags.writeable = False
         return delays, rows
-
-
-def identity_channel(params: FrameParams) -> ChannelRealization:
-    """Single unit tap at zero delay and Doppler."""
-    return ChannelRealization(
-        (PathTap(1.0 + 0.0j, 0, 0),),
-        params.num_delay_bins,
-        params.num_doppler_bins,
-    )
 
 
 def doppler_bin_bound(nu_max_hz: float, params: FrameParams) -> int:
@@ -343,7 +354,7 @@ def apply_channel(
     if cp_samples < 0 or cp_samples >= n:
         raise ValueError("prefix length outside the stream")
     out = np.zeros(n, dtype=complex)
-    for l, c in ch.diagonals(np.arange(n) - cp_samples).items():
+    for l, c in ch.diagonals(-cp_samples, n).items():
         if l < n:
             out[l:] += c[l:] * samples[: n - l]
     if noise_var:
@@ -354,28 +365,3 @@ def apply_channel(
         out = out + scale * (noise[:, 0] + 1j * noise[:, 1])
     return out
 
-
-def tf_response(
-    ch: ChannelRealization, params: FrameParams, mu: int = 0
-) -> np.ndarray:
-    """Time-frequency channel gains on the numerology-``mu`` OFDM grid.
-
-    ``h[m, i] = sum_p h_p exp(j 2 pi (k_p i 2**-mu / N - m 2**mu l_p / M))``,
-    the narrowband per-cell gain at subcarrier m and symbol i.  Exact for
-    zero Doppler; with Doppler it ignores intra-symbol rotation and
-    inter-carrier leakage, so it serves as an oracle only in the static
-    case.
-    """
-    scale = 1 << mu
-    if params.num_delay_bins % scale:
-        raise ValueError(f"numerology {mu} does not divide the grid")
-    n_sc = params.num_delay_bins // scale
-    n_sym = params.num_doppler_bins * scale
-    m_idx = np.arange(n_sc)[:, None]
-    i_idx = np.arange(n_sym)[None, :]
-    h = np.zeros((n_sc, n_sym), dtype=complex)
-    for tap in ch.taps:
-        doppler = tap.doppler_bin * i_idx / (scale * params.num_doppler_bins)
-        delay = m_idx * scale * tap.delay_bin / params.num_delay_bins
-        h += tap.gain * np.exp(2j * np.pi * (doppler - delay))
-    return h

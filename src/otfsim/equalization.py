@@ -51,6 +51,9 @@ EXACT_VARIANCE_LIMIT = 2048
 # a Cholesky pivot (squared diagonal) this far below the largest marks
 # the system singular
 SINGULAR_PIVOT_RATIO = 1e-12
+# symbols per pass of compute_llrs: a 64-point distance table over this many
+# symbols is 2 MB, which stays in cache where a whole frame's would not
+LLR_CHUNK = 4096
 
 
 @dataclass
@@ -292,14 +295,16 @@ def compute_llrs(eq: EqualizedFrame, constellation: Constellation) -> np.ndarray
     hypothesis, matching the decoder's input convention.  Erasure rows
     are zero.
     """
-    points = constellation.points
-    bits = constellation.bits
-    dists = np.abs(eq.symbols[:, None] - points[None, :]) ** 2
+    points = constellation.points[:, None]
+    zero_sets = constellation.bits.T == 0
     llrs = np.empty((eq.symbols.size, constellation.bits_per_symbol))
-    for j in range(constellation.bits_per_symbol):
-        zero_set = bits[:, j] == 0
-        d0 = dists[:, zero_set].min(axis=1)
-        d1 = dists[:, ~zero_set].min(axis=1)
-        llrs[:, j] = (d1 - d0) / eq.noise_vars
+    for lo in range(0, eq.symbols.size, LLR_CHUNK):
+        chunk = slice(lo, lo + LLR_CHUNK)
+        # point-major: each point's distances to the chunk form one row
+        dists = np.abs(eq.symbols[chunk] - points) ** 2
+        for j, zero_set in enumerate(zero_sets):
+            d0 = np.minimum.reduce(dists[zero_set])
+            d1 = np.minimum.reduce(dists[~zero_set])
+            llrs[chunk, j] = (d1 - d0) / eq.noise_vars[chunk]
     llrs[eq.erasures] = 0.0
     return llrs

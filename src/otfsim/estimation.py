@@ -11,6 +11,8 @@ time), returning a dense gain grid for the single-tap equalizer.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .channel import ChannelRealization, PathTap
@@ -82,47 +84,57 @@ def rs_cell_estimates(
     return est
 
 
+@functools.lru_cache(maxsize=16)
 def interpolate_frequency(
-    estimates: np.ndarray,
-    positions: np.ndarray,
-    n_subcarriers: int,
-    num_delay_taps: int,
+    positions: tuple[int, ...], n_subcarriers: int, num_delay_taps: int
 ) -> np.ndarray:
-    """Extend per-subcarrier estimates to the whole symbol.
+    """The operator that extends per-subcarrier estimates to the whole symbol.
 
-    Fits the least-squares delay-domain impulse response of length
-    ``min(num_delay_taps, len(positions))`` to the estimates at the given
-    subcarrier positions and evaluates it everywhere.  Exact whenever the
-    true response has that delay support, whatever the position pattern.
+    Returns the ``(n_subcarriers, len(positions))`` matrix ``F pinv(A)``.
+    ``A`` evaluates a delay-domain impulse response of length
+    ``min(num_delay_taps, len(positions))`` at the given subcarrier
+    positions and ``F`` at every subcarrier, so ``operator @ estimates``
+    is the least-squares fit to the estimates, evaluated everywhere.
+    Exact whenever the true response has that delay support, whatever the
+    position pattern.  Built once per pattern and shared, so the array is
+    read-only.
     """
-    positions = np.asarray(positions, dtype=int)
-    if positions.size == 0:
+    if not positions:
         raise ValueError("no reference positions to interpolate from")
-    depth = min(int(num_delay_taps), positions.size)
-    taps = np.arange(depth)
+    taps = np.arange(min(int(num_delay_taps), len(positions)))
     basis = np.exp(-2j * np.pi * np.outer(positions, taps) / n_subcarriers)
-    coeffs, *_ = np.linalg.lstsq(basis, estimates, rcond=None)
     full = np.exp(
         -2j * np.pi * np.outer(np.arange(n_subcarriers), taps) / n_subcarriers
     )
-    return full @ coeffs
+    operator = full @ np.linalg.pinv(basis)
+    operator.flags.writeable = False
+    return operator
 
 
 def interpolate_time(column_estimates: np.ndarray, columns: np.ndarray, n_symbols: int) -> np.ndarray:
     """Linear interpolation between estimated symbol columns.
 
     ``column_estimates`` is subcarriers by len(columns); symbols outside
-    the estimated span hold the nearest column.
+    the estimated span hold the nearest column.  All rows go at once with
+    ``np.interp``'s arithmetic on the real and imaginary parts, so each
+    row equals its ``np.interp`` to the bit.
     """
     columns = np.asarray(columns, dtype=float)
     grid = np.arange(n_symbols, dtype=float)
-    out = np.empty((column_estimates.shape[0], n_symbols), dtype=complex)
-    for row in range(column_estimates.shape[0]):
-        vals = column_estimates[row]
-        out[row] = np.interp(grid, columns, vals.real) + 1j * np.interp(
-            grid, columns, vals.imag
-        )
-    return out
+    # the last column at or before each symbol, -1 before the first; the
+    # ends and exact hits take the column's value as it is
+    last = np.searchsorted(columns, grid, side="right") - 1
+    held = np.clip(last, 0, columns.size - 1)
+    between = (last >= 0) & (last < columns.size - 1) & (grid != columns[held])
+    lo = last[between]
+    offset = grid[between] - columns[lo]
+    width = columns[lo + 1] - columns[lo]
+    parts = []
+    for vals in (column_estimates.real, column_estimates.imag):
+        part = vals[:, held]
+        part[:, between] = (vals[:, lo + 1] - vals[:, lo]) / width * offset + vals[:, lo]
+        parts.append(part)
+    return parts[0] + 1j * parts[1]
 
 
 def ofdm_estimate(
@@ -136,10 +148,12 @@ def ofdm_estimate(
 
     Per-cell estimates at the reference symbols, delay-domain
     least-squares interpolation along frequency within each
-    reference-bearing symbol, then linear interpolation along time with
-    edge columns held.  ``rs_grid`` is the transmitted grid; only its
-    reference cells are read.  ``num_delay_taps`` bounds the assumed delay
-    support (the per-symbol prefix length is the natural choice).
+    reference-bearing symbol (one operator and one product for all the
+    symbols that share a subcarrier pattern), then linear interpolation
+    along time with edge columns held.  ``rs_grid`` is the transmitted
+    grid; only its reference cells are read.  ``num_delay_taps`` bounds
+    the assumed delay support (the per-symbol prefix length is the
+    natural choice).
     """
     y = np.asarray(y, dtype=complex)
     if y.shape != roles.shape or y.shape != np.shape(rs_grid):
@@ -151,9 +165,10 @@ def ofdm_estimate(
     cells = rs_cell_estimates(y, rs_grid, roles, noise_var)
     n_sc = y.shape[0]
     per_column = np.empty((n_sc, rs_columns.size), dtype=complex)
-    for j, col in enumerate(rs_columns):
-        positions = np.flatnonzero(rs_mask[:, col])
-        per_column[:, j] = interpolate_frequency(
-            cells[positions, col], positions, n_sc, num_delay_taps
-        )
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, col in enumerate(rs_columns.tolist()):
+        groups.setdefault(tuple(np.flatnonzero(rs_mask[:, col]).tolist()), []).append(j)
+    for positions, group in groups.items():
+        operator = interpolate_frequency(positions, n_sc, num_delay_taps)
+        per_column[:, group] = operator @ cells[np.ix_(positions, rs_columns[group])]
     return interpolate_time(per_column, rs_columns, y.shape[1])

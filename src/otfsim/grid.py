@@ -186,11 +186,6 @@ class PilotConfig:
         return float(10.0 ** (self.boost_db / 20.0))
 
 
-def guard_cell_count(cfg: PilotConfig) -> int:
-    """Cells in the guard region including the pilot cell itself."""
-    return (4 * cfg.k_nu + 1) * (2 * cfg.l_tau + 1)
-
-
 @functools.lru_cache(maxsize=16)
 def otfs_roles(params: FrameParams, cfg: PilotConfig) -> np.ndarray:
     """Role map for the delay-Doppler frame.

@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import identity_channel, max_delay_bin, ramp_diagonals, tf_response
 
 import otfsim
 from otfsim.channel import (
+    RAMP_BLOCK,
     ChannelRealization,
     PathTap,
     TdlProfile,
@@ -17,10 +19,8 @@ from otfsim.channel import (
     delay_bin_bound,
     doppler_bin_bound,
     gram_matrix,
-    identity_channel,
     load_profile,
     sample_channel,
-    tf_response,
 )
 from otfsim.grid import FrameParams, desk_scale_params, full_scale_params
 from otfsim.transforms import add_cp, remove_cp
@@ -105,7 +105,7 @@ def test_sampled_taps_respect_bounds():
     for _ in range(50):
         ch = sample_channel(p, FULL, NU_500KMPH_6GHZ, rng)
         assert ch.delay_bins.min() >= 0
-        assert ch.max_delay_bin <= delay_bin_bound(p, FULL)
+        assert max_delay_bin(ch) <= delay_bin_bound(p, FULL)
         assert np.abs(ch.doppler_bins).max() <= doppler_bin_bound(NU_500KMPH_6GHZ, FULL)
         assert len(set(zip(ch.delay_bins, ch.doppler_bins))) == len(ch.taps)
 
@@ -115,7 +115,7 @@ def test_desk_scale_quantizes_all_delays_to_zero():
     p = load_profile("tdl_a", 37e-9)
     rng = np.random.default_rng(12)
     ch = sample_channel(p, DESK, NU_500KMPH_6GHZ, rng)
-    assert ch.max_delay_bin == 0
+    assert max_delay_bin(ch) == 0
 
 
 def test_colliding_taps_merge_by_gain_sum():
@@ -207,6 +207,42 @@ def test_folded_diagonals_hold_the_dense_entries():
         np.testing.assert_allclose(c, h[u, (u - l) % ch.block_len], atol=1e-12)
     assert not rows.flags.writeable
     assert ch.folded_diagonals[1] is rows
+
+
+def test_two_level_ramps_match_the_direct_exponential_at_full_scale():
+    # a full-scale draw over its whole stream, prefix included
+    p = load_profile("tdl_a", 37e-9)
+    ch = sample_channel(p, FULL, NU_500KMPH_6GHZ, np.random.default_rng(23))
+    assert len(set(ch.delay_bins.tolist())) > 1
+    cp = FULL.cp_samples
+    count = cp + FULL.block_len
+    fast = ch.diagonals(-cp, count)
+    slow = ramp_diagonals(ch, np.arange(count) - cp)
+    assert list(fast) == list(slow)
+    for l, c in slow.items():
+        assert np.abs(fast[l] - c).max() <= 1e-13 * np.abs(c).max()
+
+
+@pytest.mark.parametrize("m, n, cp", [(20, 15, 70), (16, 40, 300)])
+def test_stream_and_fold_ramps_agree_bit_for_bit(m, n, cp):
+    # bodies of 300 and 640 samples, not multiples of the ramp block, after
+    # prefixes that start one and two blocks before time zero
+    assert (m * n) % RAMP_BLOCK
+    rng = np.random.default_rng(m * n)
+    taps = tuple(
+        PathTap(complex(rng.standard_normal(), rng.standard_normal()), l, k)
+        for l, k in ((0, 2), (5, -3), (0, -1), (9, 4), (5, 1))
+    )
+    ch = ChannelRealization(taps, m, n)
+    stream = ch.diagonals(-cp, cp + m * n)
+    delays, rows = ch.folded_diagonals
+    for l, row in zip(delays.tolist(), rows):
+        assert stream[l][cp:].tobytes() == row.tobytes()
+    # one delay: the stream's received body is the operator's to the bit
+    one = ChannelRealization(tuple(PathTap(t.gain, 5, t.doppler_bin) for t in taps), m, n)
+    body = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
+    rx = remove_cp(apply_channel(add_cp(body, cp), one, cp_samples=cp), cp)
+    assert rx.tobytes() == apply_channel_operator(one, body).tobytes()
 
 
 def test_large_gram_band_matches_the_operators():

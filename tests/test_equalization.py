@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import dense_llrs
 from test_channel import BAND_CASES, band_to_dense, delay_channel
 
 from otfsim import equalization
@@ -14,6 +15,7 @@ from otfsim.channel import (
     sample_channel,
 )
 from otfsim.equalization import (
+    LLR_CHUNK,
     VAR_FLOOR,
     EqualizedFrame,
     _diagonal_noise_vars,
@@ -472,3 +474,16 @@ def test_llr_signs_match_nearest_point_decisions():
     llrs = compute_llrs(EqualizedFrame(sym, np.full(500, 0.3)), const)
     hard = (llrs.ravel() < 0).astype(np.uint8)
     np.testing.assert_array_equal(hard, const.hard_bits(sym))
+
+
+@pytest.mark.parametrize("name", ["qpsk", "16qam", "64qam"])
+@pytest.mark.parametrize("n", [LLR_CHUNK - 1, LLR_CHUNK, 2 * LLR_CHUNK + 1])
+def test_chunked_llrs_equal_the_dense_table(name, n):
+    # chunk edges on both sides of a boundary, erasures in several chunks
+    rng = np.random.default_rng(n)
+    const = by_name(name)
+    sym = 1.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    nv = 10 ** rng.uniform(-3, 0, n)
+    erased = rng.random(n) < 0.05
+    llrs = compute_llrs(EqualizedFrame(sym, nv, erased), const)
+    assert llrs.tobytes() == dense_llrs(sym, nv, erased, const).tobytes()

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from helpers import interp_rows, lstsq_frequency_fit, tf_response
 
 from otfsim.channel import (
     ChannelRealization,
     PathTap,
     apply_channel,
     build_channel_matrix,
-    tf_response,
 )
 from otfsim.estimation import (
     interpolate_frequency,
@@ -20,7 +20,9 @@ from otfsim.grid import (
     CELL_RS,
     CELL_UNUSED,
     PilotConfig,
+    derive_vsb_dims,
     desk_scale_params,
+    full_scale_params,
     ofdm_roles,
     place_ofdm_frame,
     place_otfs_frame,
@@ -145,9 +147,68 @@ def test_frequency_interpolation_exact_for_short_responses():
     truth = np.exp(
         -2j * np.pi * np.outer(np.arange(n_sc), np.arange(5)) / n_sc
     ) @ imp
-    positions = np.array([0, 3, 6, 9])
-    out = interpolate_frequency(truth[positions], positions, n_sc, num_delay_taps=3)
+    positions = (0, 3, 6, 9)
+    out = interpolate_frequency(positions, n_sc, num_delay_taps=3) @ truth[list(positions)]
     np.testing.assert_allclose(out, truth, atol=1e-9)
+
+
+def test_frequency_operators_are_cached_and_read_only():
+    op = interpolate_frequency((1, 4, 7), 12, 2)
+    assert interpolate_frequency((1, 4, 7), 12, 2) is op
+    assert op.shape == (12, 3)
+    with pytest.raises(ValueError):
+        op[0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "columns, n_symbols",
+    [
+        ([0, 3, 4, 6, 11, 13], 14),  # spans the grid: exact hits at both ends
+        ([2, 5, 9], 12),  # held edges on both sides
+        ([4], 9),  # one column, held everywhere
+        ([0.5, 2.25, 7.75], 10),  # off-grid columns: no exact hits
+    ],
+)
+def test_time_interpolation_equals_per_row_interp(columns, n_symbols):
+    rng = np.random.default_rng(len(columns))
+    vals = rng.standard_normal((5, len(columns))) + 1j * rng.standard_normal((5, len(columns)))
+    out = interpolate_time(vals, np.array(columns), n_symbols)
+    assert out.tobytes() == interp_rows(vals, columns, n_symbols).tobytes()
+
+
+def test_time_interpolation_equals_per_row_interp_on_random_columns():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n_symbols = int(rng.integers(2, 200))
+        columns = np.sort(rng.choice(n_symbols, int(rng.integers(1, n_symbols + 1)), replace=False))
+        vals = rng.standard_normal((3, columns.size)) + 1j * rng.standard_normal((3, columns.size))
+        out = interpolate_time(vals, columns, n_symbols)
+        assert out.tobytes() == interp_rows(vals, columns, n_symbols).tobytes()
+
+
+@pytest.mark.parametrize("mu", [0, 3])
+def test_ofdm_estimate_matches_per_column_lstsq_at_full_scale(mu):
+    # the full-scale role maps: two subcarrier patterns over 36 (mu 0) and
+    # 292 (mu 3) reference-bearing symbols
+    full = full_scale_params()
+    roles = ofdm_roles(full, mu)
+    _, _, cp_len = derive_vsb_dims(full, mu)
+    rng = np.random.default_rng(14 + mu)
+    y = rng.standard_normal(roles.shape) + 1j * rng.standard_normal(roles.shape)
+    rs_grid = np.exp(2j * np.pi * rng.random(roles.shape))
+    est = ofdm_estimate(y, rs_grid, roles, 0.1, cp_len)
+
+    cells = rs_cell_estimates(y, rs_grid, roles, 0.1)
+    rs_mask = roles == CELL_RS
+    rs_columns = np.flatnonzero(rs_mask.any(axis=0))
+    per_column = np.empty((roles.shape[0], rs_columns.size), dtype=complex)
+    for j, col in enumerate(rs_columns):
+        positions = np.flatnonzero(rs_mask[:, col])
+        per_column[:, j] = lstsq_frequency_fit(
+            cells[positions, col], positions, roles.shape[0], cp_len
+        )
+    want = interp_rows(per_column, rs_columns, roles.shape[1])
+    assert np.abs(est - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_time_interpolation_is_linear_with_held_edges():
@@ -209,7 +270,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         ofdm_estimate(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 3)), 0.0, 2)
     with pytest.raises(ValueError):
-        interpolate_frequency(np.zeros(0), np.zeros(0, dtype=int), 8, 2)
+        interpolate_frequency((), 8, 2)
     with pytest.raises(ValueError):
         ofdm_estimate(
             np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 2), dtype=np.int8) + 1,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import guard_cell_count
 
 from otfsim.grid import (
     CELL_DATA,
@@ -14,7 +15,6 @@ from otfsim.grid import (
     desk_scale_params,
     equal_total_pilot_power_boost_db,
     full_scale_params,
-    guard_cell_count,
     num_prb,
     ofdm_roles,
     otfs_roles,

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import identity_channel
 
 from otfsim import harness
-from otfsim.channel import apply_channel, identity_channel
+from otfsim.channel import apply_channel
 from otfsim.harness import (
     TRIAL_STREAMS,
     LinkSimulator,
