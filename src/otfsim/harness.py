@@ -27,6 +27,7 @@ import math
 import os
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib import metadata
 
@@ -384,13 +385,14 @@ class LinkSimulator:
         for loopback and genie experiments.
         """
         cfg = self.cfg
-        ch_rng, payload_rng, noise_rng, probe_rng = (
-            trial_generator(seed, stream) for stream in TRIAL_STREAMS
-        )
+        # each stream is seeded on its own, so only those the trial reads are built
         ch = channel
         if ch is None:
-            ch = sample_channel(self.profile, self.params, cfg.nu_max_hz, ch_rng)
-        msgs, streams, tx_grids = self.build_streams(wf, [payload_rng])
+            ch = sample_channel(
+                self.profile, self.params, cfg.nu_max_hz, trial_generator(seed, "channel")
+            )
+        msgs, streams, tx_grids = self.build_streams(wf, [trial_generator(seed, "payload")])
+        noise_rng = trial_generator(seed, "noise")
         msg, stream = msgs[0], streams[0]
         scale = self._energy_scale(stream)
         tx = stream * scale
@@ -425,7 +427,7 @@ class LinkSimulator:
                 p_rx = apply_channel(
                     add_cp(p_body, cp),
                     ch,
-                    probe_rng,
+                    trial_generator(seed, "probe"),
                     cp_samples=cp,
                     noise_var=noise_var,
                 )
@@ -488,7 +490,9 @@ def run_sweep(cfg: RunConfig, threads: int = 1, log=None) -> dict[str, SweepResu
         raise ValueError("threads must be at least 1")
     sim = LinkSimulator(cfg)
     out: dict[str, SweepResult] = {}
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    # one thread runs the trials itself: a worker thread started per sweep
+    # may get a malloc arena of its own, which raises peak memory in steps
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as ex:
         for wf in cfg.waveforms:
             result = SweepResult(wf)
             for i in range(len(cfg.snr_grid_db)):

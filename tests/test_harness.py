@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +158,20 @@ def test_sweep_is_thread_count_invariant(tmp_path):
         write_bler_csv(path, res)
         files.append(path.read_bytes())
     assert files[0] == files[1]
+
+
+def test_one_thread_sweeps_in_the_calling_thread(monkeypatch):
+    # no worker thread, so no malloc arena of its own for each sweep
+    seen = set()
+    run_trial = LinkSimulator.run_trial
+
+    def spy(self, *args, **kwargs):
+        seen.add(threading.get_ident())
+        return run_trial(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinkSimulator, "run_trial", spy)
+    run_sweep(VSB_SWEEP, threads=1)
+    assert seen == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("threads", [0, -3])

@@ -417,8 +417,10 @@ def test_min_sum_matches_numpy_kernel(code, sigma, seed, kind, max_iters):
 
 
 def test_avx2_clone_decodes_like_the_baseline(tmp_path, monkeypatch):
-    # the shipped build carries an AVX2 clone wherever the source's guard
-    # holds; the preprocessor says whether it holds for this compiler
+    # every body the CPU runs against the baseline build, bit for bit: the
+    # lane-major AVX-512 body and the block-major AVX2 clone.  The shipped
+    # build carries both wherever the source's guard holds; the
+    # preprocessor says whether it holds for this compiler.
     shipped = kernels.minsum_library()
     source = kernels.MINSUM_SOURCE.read_text()
     clone = '__attribute__((target_clones("avx2", "default")))'
@@ -426,32 +428,83 @@ def test_avx2_clone_decodes_like_the_baseline(tmp_path, monkeypatch):
     expanded = subprocess.run(
         ["cc", "-E", str(kernels.MINSUM_SOURCE)], capture_output=True, text=True, check=True
     ).stdout
-    symbol = b"otfsim_min_sum_decode.avx2"
-    assert (symbol in shipped.read_bytes()) == ("target_clones" in expanded)
-    if "target_clones" not in expanded:
-        pytest.skip("the decoder has no AVX2 clone on this platform")
-    if "avx2" not in Path("/proc/cpuinfo").read_text().split():
-        pytest.skip("the CPU lacks AVX2, so the loader picks the baseline clone")
+    guarded = "target_clones" in expanded
+    lib = ctypes.CDLL(str(shipped))
+    assert (b"otfsim_min_sum_decode.avx2" in shipped.read_bytes()) == guarded
+    assert hasattr(lib, "otfsim_min_sum_decode_lanes") == guarded
+    if not guarded:
+        pytest.skip("the decoder has one body on this platform")
+    flags = Path("/proc/cpuinfo").read_text().split()
+    assert bool(lib.otfsim_cpu_has_avx512f()) == ("avx512f" in flags)
+    # each body by its own symbol; through its ifunc, the shipped block-major
+    # entry point resolves to the AVX2 clone on a CPU with AVX2
+    bodies = {}
+    if "avx512f" in flags:
+        bodies["avx512 lanes"] = lib.otfsim_min_sum_decode_lanes
+    if "avx2" in flags:
+        bodies["avx2 clone"] = lib.otfsim_min_sum_decode
+    if not bodies:
+        pytest.skip("the CPU runs only the baseline body")
     baseline = tmp_path / "_minsum.c"
     baseline.write_text(source.replace(clone, ""))
-    lib = tmp_path / "baseline.so"
-    subprocess.run(["cc", *kernels.MINSUM_CFLAGS, "-o", str(lib), str(baseline)], check=True)
-    assert symbol not in lib.read_bytes()
+    baseline_lib = tmp_path / "baseline.so"
+    subprocess.run(
+        ["cc", *kernels.MINSUM_CFLAGS, "-o", str(baseline_lib), str(baseline)], check=True
+    )
+    assert b"otfsim_min_sum_decode.avx2" not in baseline_lib.read_bytes()
+    bodies["baseline"] = ctypes.CDLL(str(baseline_lib)).otfsim_min_sum_decode
+    addresses = {ctypes.cast(fn, ctypes.c_void_p).value for fn in bodies.values()}
+    assert len(addresses) == len(bodies)  # no body is compared with itself
+    # the loader picks the fastest body the CPU runs
+    fastest = next(iter(bodies.values()))
+    loaded = ctypes.cast(kernels._load_decoder(), ctypes.c_void_p).value
+    assert loaded == ctypes.cast(fastest, ctypes.c_void_p).value
     cases = [
         (code, noisy_llrs(code, sigma, seed, kind), max_iters)
         for code in (default_code(), SMALL_CODE, WRAP_CODE)
         for kind in LLR_KINDS
-        for sigma, seed in ((0.7, 11), (1.2, 12))
+        for sigma, seed in ((0.7, 0), (0.7, 11), (1.2, 12))  # (0.7, 0): lone NaN edges
         for max_iters in (0, 1, 5, 50)
     ]
-    want = [kernels.min_sum_decode(llr, c.graph, 0.75, it) for c, llr, it in cases]
-    monkeypatch.setattr(kernels, "minsum_library", lambda: lib)
-    monkeypatch.setattr(kernels, "_decoder", None)
-    got = [kernels.min_sum_decode(llr, c.graph, 0.75, it) for c, llr, it in cases]
-    for (bits, ok, iters), (want_bits, want_ok, want_iters) in zip(got, want):
-        np.testing.assert_array_equal(bits, want_bits)
-        assert (ok, iters) == (want_ok, want_iters)
+    decoded = {}
+    for name, fn in bodies.items():
+        monkeypatch.setattr(kernels, "_decoder", kernels._declare(fn))
+        decoded[name] = [kernels.min_sum_decode(llr, c.graph, 0.75, it) for c, llr, it in cases]
+    want = decoded.pop("baseline")
+    for name, got in decoded.items():
+        for (bits, ok, iters), (want_bits, want_ok, want_iters) in zip(got, want):
+            np.testing.assert_array_equal(bits, want_bits, err_msg=name)
+            assert (ok, iters) == (want_ok, want_iters), name
     assert any(iters == 50 for _, _, iters in want)  # some words run every iteration
+
+
+def test_one_thread_switching_graphs_decodes_like_fresh_threads():
+    # a thread's scratch is sized for one graph and must serve no other; the
+    # liftings 81, 5 and 613 are no multiples of a vector's 8 lanes, so the
+    # lane-major body runs a masked tail on each
+    cases = [
+        (code, noisy_llrs(code, sigma, seed, "noisy"))
+        for sigma, seed in ((0.7, 31), (1.2, 32))
+        for code in (default_code(), SMALL_CODE, WRAP_CODE)
+    ]
+
+    def fresh(code, llr):
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.append(kernels.min_sum_decode(llr, code.graph, 0.75, 50))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return out[0]
+
+    want = [fresh(code, llr) for code, llr in cases]
+    for _ in range(2):
+        for (code, llr), (want_bits, want_ok, want_iters) in zip(cases, want):
+            bits, ok, iters = kernels.min_sum_decode(llr, code.graph, 0.75, 50)
+            np.testing.assert_array_equal(bits, want_bits)
+            assert (ok, iters) == (want_ok, want_iters)
+    assert {ok for _, ok, _ in want} == {True, False}  # both outcomes are compared
 
 
 def test_min_sum_rejects_bad_input():
