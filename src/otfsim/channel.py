@@ -33,15 +33,17 @@ realization, one row per distinct delay
 adjoint are shifts and products of those rows, and so is the Gram
 matrix ``H H^H``, a cyclic band that
 :func:`gram_matrix` returns as its diagonals.  The stream view applies
-them as a causal linear time-varying convolution along a transmitted
-stream, prefix included.  After stripping a long-enough cyclic prefix
-the two agree exactly, which the tests verify.
+them, evaluated once for a whole batch of streams, as a causal linear
+time-varying convolution along each stream, prefix included.  After
+stripping a long-enough cyclic prefix the two agree exactly, which the
+tests verify.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -331,37 +333,42 @@ def gram_matrix(ch: ChannelRealization) -> np.ndarray:
 def apply_channel(
     samples: np.ndarray,
     ch: ChannelRealization,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     *,
     cp_samples: int = 0,
     noise_var: float = 0.0,
 ) -> np.ndarray:
-    """Send a sample stream through the channel and add receiver noise.
+    """Send a stream, or a ``(streams, samples)`` batch, through the channel and add noise.
 
     The multipath response is a causal linear time-varying convolution
-    over the whole stream (prefix included): each delay ``l`` adds
+    over each whole stream (prefix included): each delay ``l`` adds
     ``c_l(t) * samples[v - l]`` at sample ``v``, with samples before the
     stream start taken as zero, so a delay at or past the stream's end
     adds nothing.  The first sample sits at time ``t = -cp_samples`` on
     the channel's time axis, so the frame body starts at time zero,
-    which makes the post-prefix-removal result equal ``H @ body``.
+    which makes the post-prefix-removal result equal ``H @ body``.  All
+    rows ride the one realization, whose diagonals are evaluated once.
 
     Noise is circular complex Gaussian with per-sample variance
-    ``noise_var``; zero means noiseless.
+    ``noise_var``; zero means noiseless and draws nothing.  A 1-D stream
+    draws it from the generator ``rng``; a batch takes a sequence of
+    generators, one per row, so each row gets what the 1-D call on it
+    with that row's generator would.
     """
-    samples = np.asarray(samples, dtype=complex).ravel()
-    n = samples.size
+    samples = np.asarray(samples, dtype=complex)
+    n = samples.shape[-1]
     if cp_samples < 0 or cp_samples >= n:
         raise ValueError("prefix length outside the stream")
-    out = np.zeros(n, dtype=complex)
+    out = np.zeros(samples.shape, dtype=complex)
     for l, c in ch.diagonals(-cp_samples, n).items():
         if l < n:
-            out[l:] += c[l:] * samples[: n - l]
+            out[..., l:] += c[l:] * samples[..., : n - l]
     if noise_var:
         if rng is None:
             raise ValueError("noise requested but no generator supplied")
         scale = math.sqrt(noise_var / 2.0)
-        noise = rng.standard_normal((samples.size, 2))
-        out = out + scale * (noise[:, 0] + 1j * noise[:, 1])
+        rngs = [rng] if samples.ndim == 1 else rng
+        for row, g in zip(out.reshape(-1, n), rngs, strict=True):
+            noise = g.standard_normal((n, 2))
+            row += scale * (noise[:, 0] + 1j * noise[:, 1])
     return out
-

@@ -16,10 +16,11 @@ Cholesky factor serves the payload solve and the variances, with no
 wrap-around correction.  An estimate with one distinct delay (every
 desk-scale channel) makes G G^H + rho I diagonal, and its exact
 variances, at any frame size, reduce to per-sample powers pooled into
-grid cells in O(MN).  With more delays one diagonal estimator gives
-them, probing the combiner with a block of rows Z solved together:
-Z = I, which makes it exact, up to ``EXACT_VARIANCE_LIMIT`` samples, and
-seeded random signs beyond the limit.
+grid cells in O(MN).  With more delays, up to ``EXACT_VARIANCE_LIMIT``
+samples, one block solve against the identity gives the combiner's
+columns and so the exact variances; beyond the limit a diagonal
+estimator probes the combiner with a block of seeded random sign rows
+solved together.
 
 The narrowband-OFDM waveform uses per-cell division by the estimated
 gain with effective noise sigma_v^2 / |h|^2; cells whose estimate sits
@@ -43,8 +44,8 @@ from .transforms import GridTransform
 VAR_FLOOR = 1e-30
 # |estimate| below this flags the cell as an erasure
 FADE_FLOOR = 1e-12
-# exact variances of a multi-delay estimate probe with the n-by-n identity,
-# and each pass holds a few complex n-by-n blocks of 16 n^2 bytes, 64 MB at
+# exact variances of a multi-delay estimate take one pass over the n-by-n
+# identity, which holds a few complex n-by-n blocks of 16 n^2 bytes, 64 MB at
 # n = 2048 and 268 MB at 4096; beyond, sign probes estimate them (a
 # single-delay estimate needs O(n) at any size)
 EXACT_VARIANCE_LIMIT = 2048
@@ -235,10 +236,11 @@ def lmmse_equalize(
 
     The data symbols are taken to have unit power.  Per-symbol variances
     are exact in closed form at any size when the estimate has one
-    distinct delay.  With more delays the diagonal estimator probes with
-    the identity up to ``EXACT_VARIANCE_LIMIT`` samples, which is exact,
-    and with ``variance_probes`` (at least 1) random sign rows, drawn
-    from ``probe_seed``, beyond.
+    distinct delay.  With more delays they are exact up to
+    ``EXACT_VARIANCE_LIMIT`` samples, from one solve against the
+    identity, and beyond it the diagonal estimator probes with
+    ``variance_probes`` (at least 1) random sign rows, drawn from
+    ``probe_seed``.
     """
     r_body = np.asarray(r_body, dtype=complex).ravel()
     n = transform.size
@@ -254,9 +256,13 @@ def lmmse_equalize(
     factor = _factor(ch, noise_var)
     if len(ch.folded_diagonals[0]) == 1:
         noise_vars = _diagonal_noise_vars(ch, transform, factor, noise_var)
+    elif n <= EXACT_VARIANCE_LIMIT:
+        # the rows of one solve against the identity are M's columns (see
+        # _probed_noise_vars), and their squared norms are the diagonal
+        columns = factor.solve(chan.apply_channel_operator(ch, transform.apply(np.eye(n))))
+        noise_vars = np.maximum(noise_var * np.sum(np.abs(columns) ** 2, axis=-1), VAR_FLOOR)
     else:
-        exact = n <= EXACT_VARIANCE_LIMIT
-        z = np.eye(n) if exact else _sign_probes(n, variance_probes, probe_seed)
+        z = _sign_probes(n, variance_probes, probe_seed)
         noise_vars = _probed_noise_vars(ch, transform, factor, noise_var, z)
     symbols = transform.adjoint(
         chan.apply_channel_operator_adjoint(ch, factor.solve(r_body))

@@ -392,7 +392,6 @@ class LinkSimulator:
                 self.profile, self.params, cfg.nu_max_hz, trial_generator(seed, "channel")
             )
         msgs, streams, tx_grids = self.build_streams(wf, [trial_generator(seed, "payload")])
-        noise_rng = trial_generator(seed, "noise")
         msg, stream = msgs[0], streams[0]
         scale = self._energy_scale(stream)
         tx = stream * scale
@@ -402,39 +401,25 @@ class LinkSimulator:
             noise_var /= stream.size / self.params.block_len
         nv_eff = noise_var / (scale * scale)
 
+        m, n = self.params.num_delay_bins, self.params.num_doppler_bins
+        cp = self.vsb[wf.mu].cp_len if wf.kind == "vsb_ofdm" else self.params.cp_samples
+        rows, rngs = tx[None], [trial_generator(seed, "noise")]
+        if wf.kind == "block_ofdm":
+            # the interleaved copy of the body exposes the pilot's delay-Doppler
+            # response; it rides the same fading as a second row, with its own noise
+            rows = np.stack([tx, add_cp(interleave(remove_cp(tx, cp), m, n), cp)])
+            rngs.append(trial_generator(seed, "probe"))
+        r = apply_channel(rows, ch, rngs, cp_samples=cp, noise_var=noise_var) / scale
+
         if wf.kind == "vsb_ofdm":
             geom = self.vsb[wf.mu]
-            r = apply_channel(tx, ch, noise_rng, cp_samples=geom.cp_len, noise_var=noise_var)
-            y = vsb_demodulate(r / scale, self.params, wf.mu)
+            y = vsb_demodulate(r[0], self.params, wf.mu)
             h_est = ofdm_estimate(y, tx_grids[0], geom.roles, nv_eff, geom.cp_len)
             eq = single_tap_equalize(y, h_est, nv_eff).select(geom.data_idx)
         else:
-            cp = self.params.cp_samples
-            r = apply_channel(tx, ch, noise_rng, cp_samples=cp, noise_var=noise_var)
-            r_body = remove_cp(r, cp) / scale
-            transform = self.transforms[wf.kind]
-            if wf.kind == "otfs":
-                probe_body = r_body
-            else:
-                # The interleaved copy of the same body is the stream whose
-                # demodulation exposes the pilot's delay-Doppler response;
-                # it rides the same fading with its own noise draw.
-                p_body = interleave(
-                    remove_cp(tx, cp),
-                    self.params.num_delay_bins,
-                    self.params.num_doppler_bins,
-                )
-                p_rx = apply_channel(
-                    add_cp(p_body, cp),
-                    ch,
-                    trial_generator(seed, "probe"),
-                    cp_samples=cp,
-                    noise_var=noise_var,
-                )
-                probe_body = remove_cp(p_rx, cp) / scale
-            y_grid = self.transforms["otfs"].adjoint(probe_body).reshape(
-                self.params.num_delay_bins, self.params.num_doppler_bins, order="F"
-            )
+            r_body = remove_cp(r, cp)
+            # the last row carries the pilot: OTFS's own frame, block OFDM's copy
+            y_grid = self.transforms["otfs"].adjoint(r_body[-1]).reshape(m, n, order="F")
             est = otfs_estimate(
                 y_grid, self.pilot, self.pilot.amplitude_for_unit_data, math.sqrt(nv_eff)
             )
@@ -443,9 +428,9 @@ class LinkSimulator:
                 blocks = msg.size // self.code.message_len
                 return TrialResult(blocks, blocks)
             eq = lmmse_equalize(
-                r_body,
+                r_body[0],
                 est,
-                transform,
+                self.transforms[wf.kind],
                 nv_eff,
                 variance_probes=cfg.variance_probes,
                 probe_seed=seed & 0xFFFFFFFF,

@@ -37,13 +37,15 @@ def ofdm_modulate(grid: np.ndarray, cp_len: int) -> np.ndarray:
 def ofdm_demodulate(
     stream: np.ndarray, num_subcarriers: int, cp_len: int
 ) -> np.ndarray:
-    """Strip per-symbol prefixes and unitary-FFT back to the grid."""
-    stream = np.asarray(stream, dtype=complex).ravel()
+    """Strip per-symbol prefixes and unitary-FFT back to the grid, one per
+    stream of a ``(frames, samples)`` batch: the inverse of :func:`ofdm_modulate`."""
+    stream = np.asarray(stream, dtype=complex)
     step = num_subcarriers + cp_len
-    if stream.size == 0 or stream.size % step:
-        raise ValueError(f"stream length {stream.size} is not a multiple of {step}")
+    if stream.shape[-1] == 0 or stream.shape[-1] % step:
+        raise ValueError(f"stream length {stream.shape[-1]} is not a multiple of {step}")
     # one symbol a row, as ofdm_modulate writes them; the grid is their transpose
-    return np.fft.fft(stream.reshape(-1, step)[:, cp_len:], axis=-1, norm="ortho").T
+    symbols = stream.reshape(stream.shape[:-1] + (-1, step))[..., cp_len:]
+    return np.fft.fft(symbols, axis=-1, norm="ortho").swapaxes(-1, -2)
 
 
 def vsb_modulate(grid: np.ndarray, params: FrameParams, mu: int) -> np.ndarray:

@@ -340,6 +340,39 @@ def test_noise_variance_calibration():
         apply_channel(s, identity_channel(DESK), rng=None, noise_var=0.1)
 
 
+@pytest.mark.parametrize("cp", [2, 5])  # shorter and longer than the largest delay, 3
+def test_batched_stream_rows_equal_one_dimensional_calls(cp):
+    # each row rides the channel alone: no row's tail leaks into the next
+    # through the delay taps, and each row draws its noise from its own
+    # generator exactly as the 1-D call with that generator does
+    ch = small_channel()
+    rng = np.random.default_rng(24)
+    rows = add_cp(rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32)), cp)
+    clean = apply_channel(rows, ch, cp_samples=cp)
+    noisy = apply_channel(
+        rows, ch, [np.random.default_rng(s) for s in range(3)], cp_samples=cp, noise_var=0.3
+    )
+    assert clean.shape == noisy.shape == rows.shape
+    for i, row in enumerate(rows):
+        np.testing.assert_array_equal(clean[i], apply_channel(row, ch, cp_samples=cp))
+        one = apply_channel(row, ch, np.random.default_rng(i), cp_samples=cp, noise_var=0.3)
+        np.testing.assert_array_equal(noisy[i], one)
+
+
+def test_batched_noise_needs_one_generator_per_row():
+    ch = small_channel()
+    rows = np.ones((2, 32), dtype=complex)
+    with pytest.raises(ValueError):
+        apply_channel(rows, ch, [np.random.default_rng(0)], noise_var=0.1)
+    with pytest.raises(ValueError):
+        apply_channel(rows, ch, None, noise_var=0.1)
+    # a noiseless call draws nothing from the generators it is given
+    gens = [np.random.default_rng(s) for s in range(2)]
+    apply_channel(rows, ch, gens)
+    for s, g in enumerate(gens):
+        assert g.bit_generator.state == np.random.default_rng(s).bit_generator.state
+
+
 def test_tf_response_static_oracle():
     # zero Doppler: every OFDM cell sees the narrowband gain exactly
     from otfsim.ofdm import vsb_demodulate, vsb_modulate

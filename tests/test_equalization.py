@@ -138,6 +138,8 @@ def test_single_delay_skips_the_dense_path(monkeypatch):
         raise AssertionError("probe variances computed for a single-delay estimate")
 
     monkeypatch.setattr(equalization, "_probed_noise_vars", dense_path)
+    # the exact identity pass is the only forward operator call in the equalizer
+    monkeypatch.setattr(equalization.chan, "apply_channel_operator", dense_path)
     ch = ChannelRealization((PathTap(0.8, 2, 1), PathTap(0.3j, 34, 0)), 8, 4)
     out = lmmse_equalize(np.zeros(32), ch, GridTransform(8, 4, "otfs"), 0.1)
     assert np.all(out.noise_vars > 0)

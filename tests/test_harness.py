@@ -9,7 +9,7 @@ import pytest
 from helpers import identity_channel
 
 from otfsim import harness
-from otfsim.channel import apply_channel
+from otfsim.channel import ChannelRealization, apply_channel
 from otfsim.harness import (
     TRIAL_STREAMS,
     LinkSimulator,
@@ -294,6 +294,34 @@ def test_adjust_cp_loss_shifts_noise_floor(monkeypatch):
         assert off / on == pytest.approx(overhead, rel=1e-12)
         # the divisor is the prefix loss the metric states, in dB
         assert 10 * np.log10(off / on) == pytest.approx(loss_db, rel=1e-12)
+
+
+def test_one_channel_pass_per_trial(monkeypatch):
+    # run_trial sends every stream of a trial through one apply_channel call,
+    # so the tap ramps are evaluated once for the stream channel and once
+    # for the estimate's fold (block OFDM's probe copy rides as a second row)
+    ramps, passes = [], []
+    diagonals = ChannelRealization.diagonals
+
+    def counted(ch, start, count):
+        ramps.append(count)
+        return diagonals(ch, start, count)
+
+    def spy(rows, ch, rngs, **kw):
+        passes.append(np.shape(rows))
+        return apply_channel(rows, ch, rngs, **kw)
+
+    monkeypatch.setattr(ChannelRealization, "diagonals", counted)
+    monkeypatch.setattr(harness, "apply_channel", spy)
+    sim = LinkSimulator(DESK)
+    want = {"otfs": (2, 1), "block_ofdm": (2, 2), "vsb_ofdm_mu0": (1, 1)}
+    for wf in ALL_WAVEFORMS:
+        ramps.clear()
+        passes.clear()
+        sim.run_trial(wf, 30.0, trial_seed(3, wf.label, 0, 0))
+        evaluations, rows = want[wf.label]
+        assert len(ramps) == evaluations, wf.label
+        assert [shape[0] for shape in passes] == [rows], wf.label
 
 
 @pytest.mark.parametrize(

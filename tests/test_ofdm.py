@@ -58,6 +58,24 @@ def test_vsb_wrappers_check_shapes():
         vsb_demodulate(stream[:-1], DESK, 0)
 
 
+def test_demodulators_take_batch_rows():
+    # a (frames, samples) stack demodulates row by row, bit for bit, and a
+    # vsb_modulate stack round-trips to its grids
+    rng = np.random.default_rng(4)
+    for mu in (0, 2):
+        n_sc, n_sym, cp_len = derive_vsb_dims(DESK, mu)
+        grids = rng.standard_normal((2, n_sc, n_sym)) + 1j * rng.standard_normal((2, n_sc, n_sym))
+        streams = vsb_modulate(grids, DESK, mu)
+        assert streams.shape == (2, (n_sc + cp_len) * n_sym)
+        got = vsb_demodulate(streams, DESK, mu)
+        assert got.shape == grids.shape
+        np.testing.assert_allclose(got, grids, atol=1e-12)
+        rows = ofdm_demodulate(streams, n_sc, cp_len)
+        for f in range(2):
+            np.testing.assert_array_equal(got[f], vsb_demodulate(streams[f], DESK, mu))
+            np.testing.assert_array_equal(rows[f], ofdm_demodulate(streams[f], n_sc, cp_len))
+
+
 def test_stream_lengths_grow_with_numerology():
     # shorter symbols need proportionally more prefixes
     lengths = [
