@@ -13,14 +13,15 @@ offset) that the channel module builds from its per-delay diagonals.
 Reordered by the fold 0, n-1, 1, n-2, ..., the cyclic band of
 G G^H + rho I becomes a plain band of half-width 2L, so one banded
 Cholesky factor serves the payload solve and the variances, with no
-wrap-around correction.  An estimate with one distinct delay (every
-desk-scale channel) makes G G^H + rho I diagonal, and its exact
-variances, at any frame size, reduce to per-sample powers pooled into
-grid cells in O(MN).  With more delays, up to ``EXACT_VARIANCE_LIMIT``
-samples, one block solve against the identity gives the combiner's
-columns and so the exact variances; beyond the limit a diagonal
-estimator probes the combiner with a block of seeded random sign rows
-solved together.
+wrap-around correction.  The factor and its block solve are the C
+kernel of ``otfsim._kernels`` on LAPACK's lower band storage.  An
+estimate with one distinct delay (nearly every desk-scale one) makes
+G G^H + rho I diagonal, and its exact variances, at any frame size,
+reduce to per-sample powers pooled into grid cells in O(MN).  With
+more delays, up to ``EXACT_VARIANCE_LIMIT`` samples, one block solve
+against the identity gives the combiner's columns and so the exact
+variances; beyond the limit a diagonal estimator probes the combiner
+with a block of seeded random sign rows solved together.
 
 The narrowband-OFDM waveform uses per-cell division by the estimated
 gain with effective noise sigma_v^2 / |h|^2; cells whose estimate sits
@@ -29,13 +30,14 @@ below a floor become erasures whose LLRs are forced to zero.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import channel as chan
+from ._kernels import band_cholesky, band_solve
 from .channel import ChannelRealization
 from .mapping import Constellation
 from .transforms import GridTransform
@@ -55,6 +57,10 @@ SINGULAR_PIVOT_RATIO = 1e-12
 # symbols per pass of compute_llrs: a 64-point distance table over this many
 # symbols is 2 MB, which stays in cache where a whole frame's would not
 LLR_CHUNK = 4096
+# each thread's compute_llrs tables, kept between calls: a desk frame's
+# fresh tables are large enough that glibc's malloc hands them back to the
+# system when they are freed, so every frame page-faulted them in again
+_llr_tables = threading.local()
 
 
 @dataclass
@@ -123,7 +129,10 @@ def _lower_band(band: np.ndarray, place: np.ndarray) -> np.ndarray:
 class BandFactor:
     """Banded Cholesky factor of H H^H + rho I, taken in fold order.
 
-    ``place`` is the inverse permutation of ``order``.
+    ``lower`` is the factor in LAPACK's lower band storage, pivots real
+    in row 0, as :func:`otfsim._kernels.band_cholesky` returns it; the C
+    solve reads each row through ``order``.  ``place`` is the inverse
+    permutation of ``order``.
     """
 
     order: np.ndarray
@@ -132,21 +141,16 @@ class BandFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(H H^H + rho I)^{-1} b for one vector or a ``(batch, n)`` array of rows."""
-        b = np.asarray(b)
-        if b.ndim not in (1, 2) or b.shape[-1] != self.order.size:
-            raise ValueError(f"expected {self.order.size} samples per row, got shape {b.shape}")
-        # the fold-order gather is the one copy in: its transpose is the
-        # column-major block that LAPACK solves in place
-        folded = np.take(b, self.order, axis=-1)
-        x = cho_solve_banded((self.lower, True), folded.T, overwrite_b=True)
-        return np.take(x.T, self.place, axis=-1)
+        return band_solve(self.lower, self.order, b)
 
 
 def _factor(ch: ChannelRealization, rho: float) -> BandFactor:
     """Banded Cholesky factor of H H^H + rho I, ridged if it is singular.
 
-    LAPACK stops only on a pivot that is not positive; one that is zero
-    up to rounding is caught by its ratio to the largest.
+    The factor stops only on a pivot that is not positive; one that is
+    zero up to rounding is caught by its ratio to the largest.  Either
+    way the ridge is added to the unfactored band, which the factor
+    leaves as it is.
     """
     band = chan.gram_matrix(ch)
     band[band.shape[0] // 2] += rho
@@ -155,7 +159,7 @@ def _factor(ch: ChannelRealization, rho: float) -> BandFactor:
     place[order] = np.arange(order.size)
     ab = _lower_band(band, place)
     try:
-        lower = cholesky_banded(ab, lower=True)
+        lower = band_cholesky(ab)
         pivots = lower[0].real ** 2
         singular = pivots.min() < SINGULAR_PIVOT_RATIO * pivots.max()
     except np.linalg.LinAlgError:  # not positive definite
@@ -171,7 +175,7 @@ def _factor(ch: ChannelRealization, rho: float) -> BandFactor:
         stacklevel=3,
     )
     ab[0] += ridge
-    return BandFactor(order, place, cholesky_banded(ab, lower=True))
+    return BandFactor(order, place, band_cholesky(ab))
 
 
 def _diagonal_noise_vars(
@@ -303,11 +307,19 @@ def compute_llrs(eq: EqualizedFrame, constellation: Constellation) -> np.ndarray
     """
     points = constellation.points[:, None]
     zero_sets = constellation.bits.T == 0
-    llrs = np.empty((eq.symbols.size, constellation.bits_per_symbol))
-    for lo in range(0, eq.symbols.size, LLR_CHUNK):
+    n, size = eq.symbols.size, points.size * min(eq.symbols.size, LLR_CHUNK)
+    llrs = np.empty((n, constellation.bits_per_symbol))
+    tables = getattr(_llr_tables, "diffs_dists", None)
+    if tables is None or tables[0].size < size:
+        tables = _llr_tables.diffs_dists = (np.empty(size, dtype=complex), np.empty(size))
+    for lo in range(0, n, LLR_CHUNK):
         chunk = slice(lo, lo + LLR_CHUNK)
+        width = min(LLR_CHUNK, n - lo)
         # point-major: each point's distances to the chunk form one row
-        dists = np.abs(eq.symbols[chunk] - points) ** 2
+        diffs = tables[0][: points.size * width].reshape(points.size, width)
+        dists = tables[1][: diffs.size].reshape(diffs.shape)
+        np.subtract(eq.symbols[chunk], points, out=diffs)
+        np.square(np.abs(diffs, out=dists), out=dists)
         for j, zero_set in enumerate(zero_sets):
             d0 = np.minimum.reduce(dists[zero_set])
             d1 = np.minimum.reduce(dists[~zero_set])

@@ -277,6 +277,49 @@ def test_import_leaves_scipy_sparse_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_runs_leave_scipy_unloaded():
+    # one desk trial of each waveform kind, the OTFS one through a two-delay
+    # channel so the equalizer factors a band wider than one sample, and one
+    # PAPR frame: none of it may import scipy, now or deferred
+    src = os.path.dirname(os.path.dirname(os.path.abspath(otfsim.__file__)))
+    config = os.path.join(os.path.dirname(src), "configs", "desk.json")
+    code = f"""
+import dataclasses, sys
+from otfsim import equalization, harness
+from otfsim.channel import ChannelRealization, PathTap
+
+widths = []
+factor = equalization._factor
+def recorded(ch, rho):
+    out = factor(ch, rho)
+    widths.append(out.lower.shape[0] - 1)
+    return out
+equalization._factor = recorded
+
+cfg = harness.load_config({config!r})
+sim = harness.LinkSimulator(cfg)
+two = ChannelRealization(
+    (PathTap(0.8, 0, 1), PathTap(0.6j, 1, -2)), cfg.num_delay_bins, cfg.num_doppler_bins
+)
+kinds = {{}}
+for wf in cfg.waveforms:
+    kinds.setdefault(wf.kind, wf)
+for kind, wf in kinds.items():
+    sim.run_trial(wf, 20.0, harness.trial_seed(3, wf.label, 0, 0),
+                  channel=two if kind == "otfs" else None)
+harness.run_papr(dataclasses.replace(cfg, papr_frames=1))
+print(sorted(kinds), max(widths))
+print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+"""
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    ran, loaded = out.stdout.strip().splitlines()
+    assert ran == "['block_ofdm', 'otfs', 'vsb_ofdm'] 2"
+    assert loaded == "[]"
+
+
 def test_operator_adjoint_identity():
     ch = small_channel()
     rng = np.random.default_rng(15)

@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from helpers import dense_llrs
 from test_channel import BAND_CASES, band_to_dense, delay_channel
 
 from otfsim import equalization
+from otfsim._kernels import band_cholesky, band_solve
 from otfsim.channel import (
     ChannelRealization,
     PathTap,
@@ -352,6 +356,143 @@ def test_band_factor_rows_equal_single_solves(case):
             factor.solve(bad)
 
 
+def band_to_lower(lower, n):
+    """The dense lower triangle that a lower band storage holds."""
+    dense = np.zeros((n, n), dtype=complex)
+    for r in range(lower.shape[0]):
+        cols = np.arange(n - r)
+        dense[cols + r, cols] = lower[r, : n - r]
+    return dense
+
+
+# fold-order band half-widths 0, 2 and 6 on 16x8 frames, and frames of 4 and
+# 5 samples whose band covers the whole matrix (2 L >= n - 1)
+KERNEL_CASES = {
+    "half_0": (delay_channel((2,), 16, 8), 0),
+    "half_2": (delay_channel((0, 1), 16, 8), 2),
+    "half_6": (delay_channel((0, 1, 2, 3), 16, 8), 6),
+    "full_n4": (delay_channel((0, 1, 2), 2, 2), 3),
+    "full_n5": (delay_channel((0, 1, 2), 5, 1), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_band_kernel_matches_dense_oracle(case):
+    ch, half = KERNEL_CASES[case]
+    n, rho = ch.block_len, 0.1
+    factor = _factor(ch, rho)
+    assert factor.lower.shape == (half + 1, n)
+    k = dense_system(ch, rho)
+    want_lower = np.linalg.cholesky(k[np.ix_(factor.order, factor.order)])
+    np.testing.assert_allclose(
+        band_to_lower(factor.lower, n), want_lower, rtol=0, atol=1e-13 * np.abs(want_lower).max()
+    )
+    # 11 rows: one block of eight solved together, then three
+    rng = np.random.default_rng(35)
+    wide = rng.standard_normal((11, 2 * n)) + 1j * rng.standard_normal((11, 2 * n))
+    inputs = {
+        "one row": wide[0, :n].copy(),
+        "strided row": wide[0, ::2],
+        "rows": np.ascontiguousarray(wide[:, :n]),
+        "F-ordered rows": np.asfortranarray(wide[:, :n]),
+        "strided rows": wide[::2, ::2],
+    }
+    for name, b in inputs.items():
+        want = np.linalg.solve(k, np.atleast_2d(b).T).T.reshape(b.shape)
+        got = factor.solve(b)
+        assert got.shape == b.shape, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("m, n", [(16, 8), (64, 16)])
+def test_one_sample_band_rounds_as_reciprocal_products(m, n):
+    # a band of half-width 0: each pivot is the square root of its diagonal
+    # entry, and the solve multiplies by the pivot's reciprocal twice; that
+    # is how LAPACK's zpbtrs rounds, and b / (l * l) rounds otherwise
+    ch = delay_channel((3,), m, n, seed=6)
+    rho = 0.07
+    factor = _factor(ch, rho)
+    band = gram_matrix(ch)
+    band[0] += rho
+    ab = _lower_band(band, factor.place)
+    np.testing.assert_array_equal(factor.lower, np.sqrt(ab.real) + 0j)
+    assert not np.signbit(factor.lower.imag).any()
+    pivots = factor.lower[0].real[factor.place]
+    b = right_hand_sides(np.random.default_rng(36), ch.block_len, 3)
+    want = b * (1 / pivots) * (1 / pivots)
+    np.testing.assert_array_equal(factor.solve(b), want)
+    np.testing.assert_array_equal(factor.solve(b[1]), want[1])
+    assert not np.array_equal(b / (pivots * pivots), want)  # the test tells the two apart
+
+
+def test_indefinite_system_takes_the_ridge_path():
+    # two taps that cancel leave K = rho I; below zero it is not positive
+    # definite, and the factor stops at its first column
+    taps = (PathTap(1.0, 0, 0), PathTap(-1.0, 0, 0))
+    ch = ChannelRealization(taps, 8, 4)
+    with pytest.raises(np.linalg.LinAlgError, match="column 0"):
+        band_cholesky(np.full((1, 32), -1e-14 + 0j))
+    # the ridge (1e-12 here) makes a slightly indefinite system definite ...
+    with pytest.warns(RuntimeWarning, match="^equalizer system singular"):
+        factor = _factor(ch, -1e-14)
+    np.testing.assert_allclose(factor.solve(np.ones(32)), 1 / (1e-12 - 1e-14), rtol=1e-12)
+    # ... and a system that stays indefinite is an error, not a factor
+    with pytest.warns(RuntimeWarning, match="^equalizer system singular"):
+        with pytest.raises(np.linalg.LinAlgError):
+            _factor(ch, -2.0)
+
+
+def test_band_cholesky_leaves_its_input_and_names_the_column():
+    ab = np.array([[4.0, 1.0, -1.0, 1.0], [0.5, 0.5, 0.5, 0.0]], dtype=complex)
+    kept = ab.copy()
+    with pytest.raises(np.linalg.LinAlgError, match="column 2"):
+        band_cholesky(ab)
+    np.testing.assert_array_equal(ab, kept)
+
+
+def test_concurrent_band_solves_agree():
+    # the C solve releases the interpreter lock, so threads solve at once;
+    # each solves its own rows, which a shared scratch would mix up
+    ch = delay_channel((0, 1, 3), 64, 16, seed=5)
+    factor = _factor(ch, 0.05)
+    workers = 4  # more than the cores of a small host
+    blocks = [right_hand_sides(np.random.default_rng(40 + w), ch.block_len, 11) for w in range(workers)]
+    want = [factor.solve(b) for b in blocks]
+    start = threading.Barrier(workers, timeout=60)
+    results = [[] for _ in range(workers)]
+
+    def work(slot):
+        start.wait()
+        for _ in range(5):
+            results[slot].append(factor.solve(blocks[slot]))
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, expected in zip(results, want):
+        assert len(got) == 5
+        for x in got:
+            np.testing.assert_array_equal(x, expected)
+
+
+def test_band_solve_rejects_mismatched_shapes():
+    factor = _factor(delay_channel((0, 1), 4, 2), 0.1)
+    with pytest.raises(ValueError):
+        band_solve(factor.lower[:, :-1], factor.order, np.zeros(8))
+    with pytest.raises(ValueError):
+        band_solve(factor.lower[:0], factor.order, np.zeros(8))
+    with pytest.raises(ValueError):
+        band_solve(factor.lower, factor.order + 1, np.zeros(8))
+
+
 @pytest.mark.parametrize("probes", [0, -3])
 def test_variance_probes_below_one_are_rejected(probes):
     ch = ChannelRealization((PathTap(1.0, 0, 0),), 4, 2)
@@ -489,3 +630,37 @@ def test_chunked_llrs_equal_the_dense_table(name, n):
     erased = rng.random(n) < 0.05
     llrs = compute_llrs(EqualizedFrame(sym, nv, erased), const)
     assert llrs.tobytes() == dense_llrs(sym, nv, erased, const).tobytes()
+
+
+def test_concurrent_llrs_keep_their_own_tables():
+    # each thread keeps its distance tables between calls; frames of
+    # different sizes and constellations, computed at once, must not share them
+    rng = np.random.default_rng(41)
+    jobs = []
+    for name, n in (("qpsk", 300), ("16qam", 985), ("64qam", LLR_CHUNK + 7), ("16qam", 5)):
+        sym = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        jobs.append((EqualizedFrame(sym, np.full(n, 0.2)), by_name(name)))
+    want = [dense_llrs(eq.symbols, eq.noise_vars, eq.erasures, c) for eq, c in jobs]
+    start = threading.Barrier(len(jobs), timeout=60)
+    results = [[] for _ in jobs]
+
+    def work(slot):
+        start.wait()
+        for _ in range(20):
+            results[slot].append(compute_llrs(*jobs[slot]))
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, expected in zip(results, want):
+        assert len(got) == 20
+        for llrs in got:
+            assert llrs.tobytes() == expected.tobytes()

@@ -449,7 +449,7 @@ def test_avx2_clone_decodes_like_the_baseline(tmp_path, monkeypatch):
     baseline.write_text(source.replace(clone, ""))
     baseline_lib = tmp_path / "baseline.so"
     subprocess.run(
-        ["cc", *kernels.MINSUM_CFLAGS, "-o", str(baseline_lib), str(baseline)], check=True
+        ["cc", *kernels.CFLAGS, "-o", str(baseline_lib), str(baseline)], check=True
     )
     assert b"otfsim_min_sum_decode.avx2" not in baseline_lib.read_bytes()
     bodies["baseline"] = ctypes.CDLL(str(baseline_lib)).otfsim_min_sum_decode
@@ -568,13 +568,25 @@ def test_concurrent_decodes_agree(monkeypatch):
 
 def test_minsum_source_compiles_cleanly(tmp_path):
     out = subprocess.run(
-        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", *kernels.MINSUM_CFLAGS,
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", *kernels.CFLAGS,
          "-o", str(tmp_path / "minsum.so"), str(kernels.MINSUM_SOURCE)],
         capture_output=True,
         text=True,
     )
     assert out.returncode == 0, out.stderr
     assert ctypes.CDLL(str(tmp_path / "minsum.so")).otfsim_min_sum_decode
+
+
+def test_band_source_compiles_cleanly(tmp_path):
+    out = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", *kernels.CFLAGS,
+         "-o", str(tmp_path / "band.so"), str(kernels.BAND_SOURCE), *kernels.LIBS],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    lib = ctypes.CDLL(str(tmp_path / "band.so"))
+    assert lib.otfsim_band_cholesky and lib.otfsim_band_solve
 
 
 def test_minsum_build_is_cached(tmp_path, monkeypatch):
@@ -616,6 +628,19 @@ def test_minsum_build_removes_only_stale_libraries(tmp_path, monkeypatch):
     assert sorted(p.name for p in cache.iterdir()) == sorted(
         [lib.name, in_flight.name, other.name]
     )
+
+
+def test_kernel_builds_share_a_cache_and_keep_each_other(tmp_path, monkeypatch):
+    # one builder serves both sources; removing one kernel's stale builds
+    # leaves the other's library in place
+    for name in ("MINSUM_SOURCE", "BAND_SOURCE"):
+        source = tmp_path / getattr(kernels, name).name
+        shutil.copy(getattr(kernels, name), source)
+        monkeypatch.setattr(kernels, name, source)
+    band, minsum = kernels.band_library(), kernels.minsum_library()
+    assert band.parent == minsum.parent == tmp_path / "__pycache__"
+    assert band.name.startswith("_band-") and minsum.name.startswith("_minsum-")
+    assert sorted(p.name for p in band.parent.iterdir()) == sorted([band.name, minsum.name])
 
 
 def test_minsum_build_failure_is_reported(tmp_path, monkeypatch):
