@@ -23,6 +23,10 @@ from .grid import CELL_RS, PilotConfig
 # taps, even at zero noise.
 _PILOT_LEAK_FLOOR = 1e-10
 
+# OpenBLAS runs a complex matrix product of fewer than 2**16 multiply-adds
+# (m * n * k) in the calling thread and splits a larger one over its threads.
+_SERIAL_GEMM = 1 << 16
+
 
 def otfs_estimate(
     y: np.ndarray,
@@ -148,8 +152,9 @@ def ofdm_estimate(
 
     Per-cell estimates at the reference symbols, delay-domain
     least-squares interpolation along frequency within each
-    reference-bearing symbol (one operator and one product for all the
-    symbols that share a subcarrier pattern), then linear interpolation
+    reference-bearing symbol (one operator for all the symbols that share
+    a subcarrier pattern, applied in row blocks that OpenBLAS keeps in
+    the calling thread), then linear interpolation
     along time with edge columns held.  ``rs_grid`` is the transmitted
     grid; only its reference cells are read.  ``num_delay_taps`` bounds
     the assumed delay support (the per-symbol prefix length is the
@@ -170,5 +175,11 @@ def ofdm_estimate(
         groups.setdefault(tuple(np.flatnonzero(rs_mask[:, col]).tolist()), []).append(j)
     for positions, group in groups.items():
         operator = interpolate_frequency(positions, n_sc, num_delay_taps)
-        per_column[:, group] = operator @ cells[np.ix_(positions, rs_columns[group])]
+        block = cells[np.ix_(positions, rs_columns[group])]
+        # operator @ block, in row blocks small enough that OpenBLAS runs
+        # each in the calling thread: a larger product wakes its worker,
+        # which then spins on the core the decode helpers need
+        rows = max(1, (_SERIAL_GEMM - 1) // block.size)
+        for r in range(0, n_sc, rows):
+            per_column[r : r + rows, group] = operator[r : r + rows] @ block
     return interpolate_time(per_column, rs_columns, y.shape[1])

@@ -364,7 +364,10 @@ class LinkSimulator:
         fairness of every comparison rests on it.
         """
         budget = float(self.params.block_len)
-        energy = float(np.vdot(stream, stream).real)
+        # numpy's pairwise sum, in an order no thread count changes: BLAS's
+        # zdotc splits a long stream over its threads and rounds with their count
+        parts = np.ascontiguousarray(stream, dtype=complex).view(np.float64)
+        energy = float(np.add.reduce(parts * parts))
         scale = math.sqrt(budget / energy)
         if abs(energy * scale * scale / budget - 1.0) > 1e-9:
             raise AssertionError("energy normalization drifted off budget")

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
@@ -467,3 +470,96 @@ def test_batch_frames_fit_desk_runs_and_leave_full_scale_alone():
     full = load_config("configs/full_scale.json")
     assert full.num_delay_bins * full.num_doppler_bins >= harness.BATCH_SAMPLES
     assert LinkSimulator(full).batch_frames == 1
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# One full-scale VSB-OFDM mu0 trial: the hash of its energy scale and of the
+# LLRs it decodes, its block errors, then the CPU time each thread of the
+# process used over the next two trials, by native thread id.
+FULL_VSB_TRIALS = f"""
+import hashlib, json, os, threading, time
+from dataclasses import replace
+import numpy as np
+from otfsim import harness
+
+cfg = harness.load_config({os.path.join(ROOT, "configs", "full_scale.json")!r})
+wf = next(w for w in cfg.waveforms if w.kind == "vsb_ofdm" and w.mu == 0)
+sim = harness.LinkSimulator(replace(cfg, waveforms=(wf,)))
+digest = hashlib.sha256()
+energy_scale, decode = sim._energy_scale, sim.code.decode
+
+def scaled(stream):
+    out = energy_scale(stream)
+    digest.update(out.hex().encode())
+    return out
+
+def decoded(llrs, *args):
+    digest.update(np.ascontiguousarray(llrs).tobytes())
+    return decode(llrs, *args)
+
+sim._energy_scale, sim.code.decode = scaled, decoded
+res = sim.run_trial(wf, 12.0, harness.trial_seed(cfg.master_seed, wf.label, 0, 0))
+print(digest.hexdigest(), res.block_errors)
+
+def cpu_s():
+    out = {{}}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{{tid}}/schedstat") as fh:
+                out[int(tid)] = int(fh.read().split()[0]) * 1e-9
+        except OSError:
+            with open(f"/proc/self/task/{{tid}}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            out[int(tid)] = (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+    return out
+
+if os.path.isdir("/proc/self/task"):
+    # the first trial built the cached estimation operators, with BLAS
+    # calls run once a process; let a worker they woke fall idle
+    time.sleep(0.5)
+    before = cpu_s()
+    for t in (1, 2):
+        sim.run_trial(wf, 12.0, harness.trial_seed(cfg.master_seed, wf.label, 0, t))
+    after = cpu_s()
+    names = {{t.native_id: t.name for t in threading.enumerate()}}
+    print(json.dumps({{
+        "caller": threading.get_native_id(),
+        "threads": [[tid, names.get(tid, ""), s - before.get(tid, 0.0)] for tid, s in after.items()],
+    }}))
+"""
+
+
+def full_vsb_trials(openblas_threads=None):
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
+    out = subprocess.run(
+        [sys.executable, "-c", FULL_VSB_TRIALS],
+        capture_output=True, text=True, check=True, env=env, timeout=600,
+    )
+    return out.stdout.strip().splitlines()
+
+
+def test_full_scale_trials_do_not_depend_on_the_openblas_thread_count():
+    # OpenBLAS splits a long zdotc over its threads, which changed the energy
+    # of a full-scale stream, and so every sample after it, with their count
+    one, two = (full_vsb_trials(n)[0] for n in (1, 2))
+    assert one == two
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread CPU times")
+def test_no_blas_worker_spins_beside_the_decoder():
+    # a threaded BLAS call leaves OpenBLAS's worker spinning on the core the
+    # decode helpers need; it used as much CPU as the caller
+    report = json.loads(full_vsb_trials()[1])
+    used = {tid: s for tid, _, s in report["threads"]}
+    caller = used[report["caller"]]
+    others = {
+        (tid, name): s
+        for tid, name, s in report["threads"]
+        if tid != report["caller"] and not name.startswith("otfsim-decode-")
+    }
+    assert caller > 0
+    assert all(s <= 0.1 * caller for s in others.values()), (caller, others)

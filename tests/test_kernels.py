@@ -1,4 +1,7 @@
+import collections
 import ctypes
+import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from test_fec import SMALL_CODE
 
 from otfsim import _kernels as kernels
+from otfsim import fec
 from otfsim.channel import (
     ChannelRealization,
     PathTap,
@@ -564,6 +568,137 @@ def test_concurrent_decodes_agree(monkeypatch):
     for bits, ok in results:
         np.testing.assert_array_equal(bits, want[0])
         np.testing.assert_array_equal(ok, want[1])
+
+
+def serial_decode(code, rows, max_iters):
+    out = [kernels.min_sum_decode(row, code.graph, 0.75, max_iters) for row in rows]
+    return np.array([b for b, _, _ in out]), np.array([ok for _, ok, _ in out])
+
+
+def frame_llrs(code, width, kind, seed):
+    # a noise level the code corrects, one it cannot, and one in between
+    return np.stack(
+        [noisy_llrs(code, (0.6, 1.0, 0.8)[w % 3], seed + w, kind) for w in range(width)]
+    )
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 50])
+def test_frame_decode_equals_a_serial_loop(max_iters):
+    # the caller and the helpers take codewords from one counter; every
+    # result lands at its own index
+    code = default_code()
+    for k, kind in enumerate(LLR_KINDS):
+        rows = frame_llrs(code, 133, kind, 1000 * k)
+        want_bits, want_ok = serial_decode(code, rows, max_iters)
+        for width in (1, 2, 5, 133):  # 1 and 2 decode in the caller alone
+            bits, ok = code.decode(rows[:width], 0.75, max_iters)
+            assert bits.dtype == np.uint8 and ok.dtype == bool
+            np.testing.assert_array_equal(bits, want_bits[:width], err_msg=kind)
+            np.testing.assert_array_equal(ok, want_ok[:width], err_msg=kind)
+        if kind == "noisy" and max_iters == 50:
+            assert want_ok.any() and not want_ok.all()  # both outcomes are compared
+
+
+def test_frame_decode_takes_no_codewords_and_checks_before_fanning_out():
+    code = default_code()
+    bits, ok = code.decode(np.zeros((0, code.codeword_len)))
+    assert bits.shape == (0, code.codeword_len) and ok.shape == (0,)
+    with pytest.raises(ValueError):
+        code.decode(np.zeros((3, code.codeword_len)), max_iters=-1)
+
+
+def test_two_callers_decode_their_own_frames_at_once():
+    # two harness threads share the helpers, as with --threads 2
+    code = default_code()
+    frames = [frame_llrs(code, 133, "noisy", seed) for seed in (70, 80)]
+    want = [serial_decode(code, rows, 50) for rows in frames]
+    start = threading.Barrier(2, timeout=60)
+    results = [[], []]
+
+    def work(slot):
+        start.wait()
+        for _ in range(3):
+            results[slot].append(code.decode(frames[slot]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, (want_bits, want_ok) in zip(results, want):
+        assert len(got) == 3
+        for bits, ok in got:
+            np.testing.assert_array_equal(bits, want_bits)
+            np.testing.assert_array_equal(ok, want_ok)
+
+
+def test_one_cpu_decodes_without_helpers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(fec, "_helpers", None)
+    code = default_code()
+    rows = frame_llrs(code, 8, "noisy", 90)
+    before = set(threading.enumerate())
+    bits, ok = code.decode(rows)
+    assert set(threading.enumerate()) == before
+    assert fec._helpers.size == 0
+    want_bits, want_ok = serial_decode(code, rows, 50)
+    np.testing.assert_array_equal(bits, want_bits)
+    np.testing.assert_array_equal(ok, want_ok)
+
+
+def _decode_in_child(rows, want_bits, parent_helpers):
+    bits, ok = default_code().decode(rows)
+    helpers = [t for t in threading.enumerate() if t.name.startswith("otfsim-decode-")]
+    os._exit(
+        0 if np.array_equal(bits, want_bits)
+        and fec._helpers is not parent_helpers
+        and len(helpers) == fec._helpers.size
+        else 1
+    )
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_forked_child_decodes_with_helpers_of_its_own():
+    # the parent's helpers do not exist in a forked child: it starts its own
+    code = default_code()
+    rows = frame_llrs(code, 16, "noisy", 100)
+    want_bits, _ = code.decode(rows)  # the parent's helpers are running now
+    child = multiprocessing.get_context("fork").Process(
+        target=_decode_in_child, args=(rows, want_bits, fec._helpers)
+    )
+    child.start()
+    child.join(timeout=120)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child did not finish decoding")
+    assert child.exitcode == 0
+
+
+def test_helpers_keep_one_workspace_each_across_frames(monkeypatch):
+    # a graph of its own, so every thread that decodes builds one workspace;
+    # no thread may build a second
+    code = LdpcCode(default_code().base_matrix, default_code().lifting)
+    built = collections.Counter()
+
+    class Counted(kernels._Workspace):
+        def __init__(self, graph):
+            built[threading.get_ident()] += 1
+            super().__init__(graph)
+
+    monkeypatch.setattr(kernels, "_Workspace", Counted)
+    for seed in (110, 120, 130):
+        code.decode(frame_llrs(code, 40, "noisy", seed))
+    assert built[threading.get_ident()] == 1
+    assert max(built.values()) == 1
+    assert len(built) <= 1 + fec._helpers.size
 
 
 def test_minsum_source_compiles_cleanly(tmp_path):
